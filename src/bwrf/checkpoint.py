@@ -14,7 +14,9 @@ Layout, all integers little-endian:
 
 Tensors are written in the model's state-dict order, so save -> load ->
 save reproduces the file byte for byte. The trailing checksum makes any
-single-byte corruption detectable.
+single-byte corruption detectable. A save writes ``<path>.tmp``, syncs it
+and renames it over ``<path>``, so a failed save never destroys the
+previous file.
 """
 
 from __future__ import annotations
@@ -54,10 +56,19 @@ def save_checkpoint(path: str, arch: str, bits: int, tensors: dict):
     parent = os.path.dirname(path)
     if parent:
         os.makedirs(parent, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(body)
-        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(body)
+            fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 class _Reader:

@@ -70,9 +70,6 @@ class LossWeights:
     def any_distill(self) -> bool:
         return self.use_fp_kd or self.use_mp_kd or self.use_avg_labels
 
-    def needs_fp_forward(self) -> bool:
-        return self.any_distill()
-
     def needs_grafts(self) -> bool:
         return self.use_mp_targets or self.use_mp_kd or self.use_avg_labels
 
@@ -107,7 +104,7 @@ def bwrf_forward(lp, fp, x: Tensor, w: LossWeights) -> GraftOutput:
     """LP forward plus exactly the FP work the enabled loss terms consume."""
     n = lp.n_blocks
     lp_features, y_q = lp.forward_collect(x)
-    y_f = fp(x).detach() if w.needs_fp_forward() else None
+    y_f = fp(x).detach() if w.any_distill() else None
     y_m = [None] * (n - 1)
     if w.needs_grafts():
         for k in w.branches(n):

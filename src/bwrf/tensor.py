@@ -9,7 +9,11 @@ consumed it.
 
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
-so repeated runs in one environment are bit-identical.
+so repeated runs in one environment are bit-identical. A kh x kw
+convolution sums kh*kw GEMMs with K = C (one per kernel tap, in row-major
+tap order), not one GEMM with K = kh*kw*C; its weight gradient is one
+GEMM per tap over the N*OH*OW output positions, and its input gradient
+adds the taps' contributions in the same tap order.
 
 Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
 their inputs; the public Tensor API stores float32. Tests exploit this to
@@ -230,30 +234,52 @@ def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
     return (extent + 2 * padding - kernel) // stride + 1
 
 
-def _im2col(xp, kh, kw, stride, oh, ow):
-    """(N,C,Hp,Wp) -> (N*oh*ow, C*kh*kw) patch matrix; one copy."""
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]
-    n, c = xp.shape[0], xp.shape[1]
-    return win.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
+def _taps(kh, kw, stride, oh, ow):
+    """(ki, kj, rows, cols): each kernel tap's strided window of the padded input."""
+    for ki in range(kh):
+        for kj in range(kw):
+            yield (ki, kj, slice(ki, ki + stride * (oh - 1) + 1, stride),
+                   slice(kj, kj + stride * (ow - 1) + 1, stride))
 
 
 def _conv2d_forward(x, w, b, stride, padding):
+    """NCHW conv as kh*kw accumulated GEMMs over shifted NHWC views.
+
+    Returns (out, xp): the NCHW output and the padded channels-last input
+    (N, H+2p, W+2p, C) that the weight gradient reads back.
+    """
     n, c, h, wd = x.shape
-    o, i, kh, kw = w.shape
+    o, _, kh, kw = w.shape
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(wd, kw, stride, padding)
-    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
-    cols = _im2col(xp, kh, kw, stride, oh, ow)
-    out = cols @ w.reshape(o, -1).T
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + wd, :] = x.transpose(0, 2, 3, 1)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, O)
+    tap = np.empty((n, oh, ow, c), dtype=x.dtype)
+    out = part = None
+    for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
+        np.copyto(tap, xp[:, rows, cols, :])
+        if out is None:
+            out = tap.reshape(-1, c) @ wt[ki, kj]
+        else:
+            part = np.matmul(tap.reshape(-1, c), wt[ki, kj], out=part)
+            out += part
     if b is not None:
-        out = out + b
-    return out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2), xp
+        out += b
+    return np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)), xp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
-    """2d cross-correlation over NCHW input with an OIkk kernel."""
+    """2d cross-correlation over NCHW input with an OIkk kernel.
+
+    The kernel works channels-last: the input is padded once into an NHWC
+    buffer, and each of the kh*kw taps adds one GEMM with K = C over a
+    strided view of it. The backward pass reuses the same views: the weight
+    gradient of a tap is ``gout.T @ view``, and the input gradient adds
+    ``gout @ W_tap`` into a padded NHWC buffer that is cropped at the end.
+    Activations and weights stay NCHW / OIkk outside this function.
+    """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be NCHW, got {x.ndim}d shape {x.shape}")
     if weight.ndim != 4:
@@ -284,25 +310,26 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     saved_xp = xp if weight.requires_grad else None
 
     def grad_fn(g):
-        gout = g.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
+        gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
         gx = gw = gb = None
         if weight.requires_grad:
-            cols = _im2col(saved_xp, kh, kw, stride, oh, ow)
-            gw = (gout.T @ cols).reshape(weight.data.shape)
+            gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
+            tap = np.empty((n, oh, ow, c), dtype=saved_xp.dtype)
+            for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
+                np.copyto(tap, saved_xp[:, rows, cols, :])
+                np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
+            gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:
             gb = gout.sum(axis=0)
         if x.requires_grad:
-            gcols = gout @ weight.data.reshape(o, -1)
-            # contiguous before the 9 strided adds below; one copy beats
-            # nine gathers from a transposed view
-            gwin = np.ascontiguousarray(
-                gcols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5))
-            gxp = np.zeros(xp_shape, dtype=np.float32)
-            for ki in range(kh):
-                for kj in range(kw):
-                    gxp[:, :, ki:ki + stride * oh:stride,
-                        kj:kj + stride * ow:stride] += gwin[:, :, :, :, ki, kj]
-            gx = gxp[:, :, padding:padding + h, padding:padding + wd] if padding else gxp
+            wk = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
+            gxp = np.zeros(xp_shape, dtype=g.dtype)
+            part = np.empty((n * oh * ow, c), dtype=g.dtype)
+            for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
+                np.matmul(gout, wk[ki, kj], out=part)
+                gxp[:, rows, cols, :] += part.reshape(n, oh, ow, c)
+            gx = np.ascontiguousarray(
+                gxp[:, padding:padding + h, padding:padding + wd, :].transpose(0, 3, 1, 2))
         return (gx, gw) if bias is None else (gx, gw, gb)
 
     return custom_op("conv2d", out_data, inputs, grad_fn)

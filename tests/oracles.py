@@ -43,7 +43,7 @@ def conv2d_bruteforce(x, w, b, stride, padding):
 
 
 def conv2d_f64(x, w, b, stride, padding):
-    """scipy.correlate2d based convolution, float64; independent of im2col."""
+    """scipy.correlate2d based convolution, float64; independent of bwrf.tensor."""
     n, c = x.shape[0], x.shape[1]
     o = w.shape[0]
     xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
@@ -261,6 +261,21 @@ def _case_conv2d_nobias(rng):
     )
 
 
+def _conv_geometry_case(k, stride, padding):
+    """One of the network's fixed conv geometries, bias-free as in the network.
+
+    Two input and three output channels, so a swapped channel axis in the
+    kernel's weight layout shows up as a shape or value mismatch.
+    """
+    def case(rng):
+        arrays = (_draw(rng, (1, 2, 4, 4)), _draw(rng, (3, 2, k, k)))
+        return arrays, (
+            lambda x, w: T.conv2d(x, w, stride=stride, padding=padding),
+            lambda x, w: conv2d_f64(x, w, None, stride, padding),
+        )
+    return case
+
+
 def _case_linear(rng):
     arrays = (_draw(rng, (3, 4)), _draw(rng, (5, 4)), _draw(rng, (5,)))
     return arrays, (T.linear, linear_f64)
@@ -364,6 +379,9 @@ def _case_chain(rng):
 FD_CASES = {
     "conv2d": _case_conv2d,
     "conv2d_nobias": _case_conv2d_nobias,
+    "conv2d_k3s1p1": _conv_geometry_case(3, 1, 1),
+    "conv2d_k3s2p1": _conv_geometry_case(3, 2, 1),
+    "conv2d_k1s2p0": _conv_geometry_case(1, 2, 0),
     "linear": _case_linear,
     "batchnorm2d_train": _case_batchnorm_train,
     "batchnorm2d_eval": _case_batchnorm_eval,

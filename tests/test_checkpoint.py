@@ -1,8 +1,12 @@
 """Checkpoint format tests: round trips, integrity, and model compatibility."""
 
+import errno
+import os
+
 import numpy as np
 import pytest
 
+from bwrf import checkpoint
 from bwrf.checkpoint import (CheckpointError, load_checkpoint, load_into_model,
                              save_checkpoint, save_model)
 from bwrf.network import BlockSpec, build_model
@@ -37,6 +41,41 @@ def test_save_load_save_is_byte_identical(tmp_path):
     _, _, loaded = load_checkpoint(a)
     save_checkpoint(b, "resnet20", 4, loaded)
     assert open(a, "rb").read() == open(b, "rb").read()
+
+
+class _DiskFullFile:
+    """A real file whose second write fails, like a disk filling mid-save."""
+
+    def __init__(self, path, mode):
+        self._fh = open(path, mode)
+        self._writes = 0
+
+    def write(self, data):
+        self._writes += 1
+        if self._writes > 1:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return self._fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_failed_save_keeps_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "best.ckpt")
+    save_checkpoint(path, "resnet20", 4, sample_tensors())
+    before = open(path, "rb").read()
+    monkeypatch.setattr(checkpoint, "open", _DiskFullFile, raising=False)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(path, "resnet20", 8, {"w": np.ones(100, np.float32)})
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["best.ckpt"]
 
 
 def test_every_corrupted_byte_is_detected(tmp_path):

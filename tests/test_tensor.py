@@ -2,6 +2,9 @@
 vs central finite differences, graph bookkeeping (accumulation, detach),
 and error handling."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -36,16 +39,48 @@ def test_conv_ramp_strided_vs_bruteforce():
     np.testing.assert_array_equal(out.data.reshape(2, 2), np.full((2, 2), -5.0, np.float32))
 
 
-@pytest.mark.parametrize("stride,padding", [(1, 0), (1, 1), (2, 0), (2, 1), (3, 2)])
-def test_conv_random_vs_bruteforce(stride, padding):
+@pytest.mark.parametrize("stride,padding,k,extent", [
+    pytest.param(1, 0, 3, (6, 5), id="1-0"),
+    pytest.param(1, 1, 3, (6, 5), id="1-1"),
+    pytest.param(2, 0, 3, (6, 5), id="2-0"),
+    pytest.param(2, 1, 3, (6, 5), id="2-1"),
+    pytest.param(3, 2, 3, (6, 5), id="3-2"),
+    # the network's three fixed geometries, at an even extent as in the network
+    pytest.param(1, 1, 3, (8, 8), id="k3s1p1"),
+    pytest.param(2, 1, 3, (8, 8), id="k3s2p1"),
+    pytest.param(2, 0, 1, (8, 8), id="k1s2p0"),
+])
+def test_conv_random_vs_bruteforce(stride, padding, k, extent):
     rng = np.random.default_rng(7 * stride + padding)
-    x = rng.standard_normal((2, 3, 6, 5)).astype(np.float32)
-    w = rng.standard_normal((4, 3, 3, 3)).astype(np.float32)
+    x = rng.standard_normal((2, 3, *extent)).astype(np.float32)
+    w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
     b = rng.standard_normal(4).astype(np.float32)
     out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
     ref = oracles.conv2d_bruteforce(x, w, b, stride, padding)
     assert out.data.shape == ref.shape
     np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
+
+
+def test_conv_frozen_weight_drops_padded_input(monkeypatch):
+    """Only the weight gradient reads the padded input, so a frozen-weight
+    conv must free it after the forward; a trainable one must keep it."""
+    padded = []
+    forward = T._conv2d_forward
+
+    def spy(*args):
+        out, xp = forward(*args)
+        padded.append(weakref.ref(xp))
+        return out, xp
+
+    monkeypatch.setattr(T, "_conv2d_forward", spy)
+    x = Tensor(np.ones((2, 3, 6, 6), np.float32), requires_grad=True)
+    w = np.ones((4, 3, 3, 3), np.float32)
+    frozen = T.conv2d(x, Tensor(w), padding=1)
+    trained = T.conv2d(x, Tensor(w, requires_grad=True), padding=1)
+    gc.collect()
+    assert frozen._grad_fn is not None and trained._grad_fn is not None
+    assert padded[0]() is None, "frozen-weight conv keeps its padded input alive"
+    assert padded[1]() is not None
 
 
 def test_conv_shape_errors():
