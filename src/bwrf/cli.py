@@ -39,6 +39,17 @@ def build_spec(cfg: RunConfig) -> BlockSpec:
     return BlockSpec.from_arch(cfg.arch, cfg.in_channels, cfg.num_classes)
 
 
+def build_lp(cfg: RunConfig, spec: BlockSpec):
+    return build_model(spec, "lp", bits=cfg.bits,
+                       grad_scale_enabled=cfg.grad_scale_enabled, seed=cfg.seed)
+
+
+def load_frozen_fp(cfg: RunConfig, spec: BlockSpec, path: str):
+    fp = build_model(spec, "fp", seed=cfg.seed)
+    load_into_model(path, fp, cfg.arch)
+    return fp.freeze()
+
+
 def load_splits(cfg: RunConfig):
     loader = load_cifar10 if cfg.data_format == "cifar10" else load_idx_dir
     train, test = loader(cfg.data_dir, cfg.normalize_mean, cfg.normalize_std)
@@ -118,11 +129,8 @@ def _train_lp(args, force_baseline: bool) -> int:
     train, test = load_splits(cfg)
     out_dir = prepare_output_dir(cfg)
     spec = build_spec(cfg)
-    fp = build_model(spec, "fp", seed=cfg.seed)
-    load_into_model(cfg.fp_checkpoint, fp, cfg.arch)
-    fp.freeze()
-    lp = build_model(spec, "lp", bits=cfg.bits,
-                     grad_scale_enabled=cfg.grad_scale_enabled, seed=cfg.seed)
+    fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
+    lp = build_lp(cfg, spec)
     init_lp_from_fp(lp, fp)
     rows = train_bwrf(lp, fp, train, test, cfg, loss_weights(cfg))
     write_csv(os.path.join(out_dir, "train_log.csv"), rows,
@@ -150,29 +158,17 @@ def cmd_eval(args) -> int:
     _, test = load_splits(cfg)
     spec = build_spec(cfg)
     branch = cfg.branch
+    if branch not in ("Q", "F") and not cfg.fp_checkpoint:
+        raise ConfigError(f"branch {branch} needs fp_checkpoint as well")
     if branch == "F":
-        model = build_model(spec, "fp", seed=cfg.seed)
-        load_into_model(cfg.checkpoint, model, cfg.arch)
-        model.eval()
-        forward = model
-    elif branch == "Q":
-        model = build_model(spec, "lp", bits=cfg.bits,
-                            grad_scale_enabled=cfg.grad_scale_enabled, seed=cfg.seed)
-        load_into_model(cfg.checkpoint, model, cfg.arch)
-        model.eval()
-        forward = model
+        forward = load_frozen_fp(cfg, spec, cfg.checkpoint)
     else:
-        if not cfg.fp_checkpoint:
-            raise ConfigError(f"branch {branch} needs fp_checkpoint as well")
-        k = int(branch[1:])
-        lp = build_model(spec, "lp", bits=cfg.bits,
-                         grad_scale_enabled=cfg.grad_scale_enabled, seed=cfg.seed)
+        forward = lp = build_lp(cfg, spec)
         load_into_model(cfg.checkpoint, lp, cfg.arch)
         lp.eval()
-        fp = build_model(spec, "fp", seed=cfg.seed)
-        load_into_model(cfg.fp_checkpoint, fp, cfg.arch)
-        fp.freeze()
-        forward = lambda x: graft_forward(lp.forward_collect(x)[0], fp, k)
+    if branch.startswith("M"):
+        fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
+        forward = lambda x: graft_forward(lp.forward_collect(x)[0], fp, int(branch[1:]))
     top1, top5 = evaluate(forward, test, cfg.eval_batch_size)
     print(f"branch={branch} top1={top1:.4f} top5={top5:.4f} n={len(test)}")
     return 0
@@ -185,12 +181,9 @@ def cmd_analyze_similarity(args) -> int:
     _, test = load_splits(cfg)
     out_dir = prepare_output_dir(cfg)
     spec = build_spec(cfg)
-    lp = build_model(spec, "lp", bits=cfg.bits,
-                     grad_scale_enabled=cfg.grad_scale_enabled, seed=cfg.seed)
+    lp = build_lp(cfg, spec)
     load_into_model(cfg.checkpoint, lp, cfg.arch)
-    fp = build_model(spec, "fp", seed=cfg.seed)
-    load_into_model(cfg.fp_checkpoint, fp, cfg.arch)
-    fp.freeze()
+    fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
     metrics = cosine_similarities(lp, fp, test, cfg.cos_samples, cfg.eval_batch_size)
     columns = tuple(metrics)
     write_csv(os.path.join(out_dir, "similarity.csv"), [metrics], columns)

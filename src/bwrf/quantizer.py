@@ -65,10 +65,6 @@ class Quantizer:
         self.scale.data[...] = np.float32(max(float(value), SCALE_FLOOR))
         self.initialized = True
 
-    def clamp_scale(self):
-        """Re-project the scale to stay positive after an optimizer step."""
-        np.maximum(self.scale.data, np.float32(SCALE_FLOOR), out=self.scale.data)
-
 
 def _round_half_away(x):
     """Round to nearest with ties away from zero, exact in float32.

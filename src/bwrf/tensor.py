@@ -22,11 +22,24 @@ run finite-difference oracles in float64.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
 
 _node_ids = itertools.count()
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no backward graph in the block: op outputs are leaves, same values."""
+    global _grad_enabled
+    saved, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = saved
 
 
 class Tensor:
@@ -57,9 +70,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def zero_grad(self):
-        self.grad = None
 
     def detach(self) -> "Tensor":
         """Same values, excluded from differentiation; shares storage."""
@@ -170,9 +180,9 @@ def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     ``grad_fn(upstream)`` must return one gradient array per input (or None
     for inputs that get nothing). This is the hook the quantizer uses to
     install its straight-through rule; all built-in ops route through it
-    too.
+    too. Under ``no_grad`` the output is a plain leaf.
     """
-    out = Tensor(out_data, requires_grad=any(t.requires_grad for t in inputs))
+    out = Tensor(out_data, requires_grad=_grad_enabled and any(t.requires_grad for t in inputs))
     if out.requires_grad:
         def _backward(g):
             for t, gi in zip(inputs, grad_fn(g)):

@@ -85,68 +85,70 @@ def evaluate(forward, split: Split, batch_size: int = 256) -> tuple:
     if len(split) == 0:
         raise ValueError("cannot evaluate on an empty split")
     hit1 = hit5 = 0
-    for images, labels in iter_batches(split, batch_size):
-        logits = forward(Tensor(images)).data
-        k = min(5, logits.shape[1])
-        top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-        hit1 += int((logits.argmax(axis=1) == labels).sum())
-        hit5 += int((top == labels[:, None]).any(axis=1).sum())
+    with T.no_grad():
+        for images, labels in iter_batches(split, batch_size):
+            logits = forward(Tensor(images)).data
+            k = min(5, logits.shape[1])
+            top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
+            hit1 += int((logits.argmax(axis=1) == labels).sum())
+            hit5 += int((top == labels[:, None]).any(axis=1).sum())
     n = len(split)
     return 100.0 * hit1 / n, 100.0 * hit5 / n
 
 
-def evaluate_branches(lp, fp, split: Split, batch_size: int = 256,
-                      branches: tuple | None = None) -> dict:
-    """Top-1 of Q, each requested graft M^k, and F in one shared-prefix pass."""
-    if len(split) == 0:
-        raise ValueError("cannot evaluate on an empty split")
-    n_blocks = lp.n_blocks
-    ks = tuple(branches) if branches is not None else tuple(range(1, n_blocks))
-    lp.eval()
+def teacher_pass(fp, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
+    """(top-1 of F, per leading batch the FP block features of its rows among
+    the first n_rows images), from one tape-free walk of the split."""
+    leading = []
+
+    def forward(x):
+        features, logits = fp.forward_collect(x)
+        if len(leading) * batch_size < n_rows:
+            leading.append([f.data[:n_rows - len(leading) * batch_size] for f in features])
+        return logits
+
     fp.eval()
-    hits = {"Q": 0, "F": 0, **{f"M{k}": 0 for k in ks}}
-    for images, labels in iter_batches(split, batch_size):
-        x = Tensor(images)
-        features, y_q = lp.forward_collect(x)
-        hits["Q"] += int((y_q.data.argmax(axis=1) == labels).sum())
-        for k in ks:
-            y_m = fp.forward_from_block(features[k - 1], k)
-            hits[f"M{k}"] += int((y_m.data.argmax(axis=1) == labels).sum())
-        y_f = fp(x)
-        hits["F"] += int((y_f.data.argmax(axis=1) == labels).sum())
-    n = len(split)
-    return {name: 100.0 * h / n for name, h in hits.items()}
+    return evaluate(forward, split, batch_size)[0], leading
+
+
+def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> dict:
+    """acc_Q, every acc_M{k} and acc_F from one tape-free shared-prefix pass.
+
+    Per batch the LP forward and each graft's first frozen block
+    h_k = F_{k+1}(x^Q_k) run once; the rest of the FP suffix on h_k gives M_k.
+    ``teacher`` is ``teacher_pass`` over the same split and batch size; the
+    rows its features cover add the per-sample means
+    cos_b{i} = cos(x^Q_i, x^F_i) and cos_g{k} = cos(h_k, x^F_{k+1}). Eval-mode
+    block features of a row do not depend on its batch-mates, so row slices
+    of the eval batches give the cos_* of batching those rows on their own.
+    """
+    acc_f, leading = teacher
+    lp.eval()
+    hits, cos = {}, {}
+    with T.no_grad():
+        for j, (images, labels) in enumerate(iter_batches(split, batch_size)):
+            f_lp, y_q = lp.forward_collect(Tensor(images))
+            grafts = [fp.blocks[k](f_lp[k - 1], False) for k in range(1, lp.n_blocks)]
+            branches = [("acc_Q", y_q)] + [(f"acc_M{k}", fp.forward_from_block(h, k + 1))
+                                           for k, h in enumerate(grafts, start=1)]
+            for key, logits in branches:
+                hits[key] = hits.get(key, 0) + int((logits.data.argmax(axis=1) == labels).sum())
+            if j < len(leading):
+                pairs = [(f"cos_b{i}", f, leading[j][i - 1]) for i, f in enumerate(f_lp, 1)]
+                pairs += [(f"cos_g{k}", h, leading[j][k]) for k, h in enumerate(grafts, 1)]
+                for key, f, ref in pairs:
+                    cos[key] = cos.get(key, 0.0) + _cos_rows(f.data[:len(ref)], ref) * len(ref)
+    n_rows = sum(len(batch[0]) for batch in leading)
+    return {**{key: 100.0 * h / len(split) for key, h in hits.items()}, "acc_F": acc_f,
+            **{key: v / n_rows for key, v in cos.items()}}
 
 
 def cosine_similarities(lp, fp, split: Split, n_samples: int = 1024,
                         batch_size: int = 256) -> dict:
-    """Batch-averaged cosine metrics between LP and FP features.
-
-    For each block i: cos(x_Q_i, x_F_i) on flattened per-sample features
-    (key cos_b{i}), and for i < n the graft alignment
-    cos(Q_{i+1}(x_Q_i), F_{i+1}(x_Q_i)) against x_F_{i+1} replaced by the
-    frozen suffix block on the LP feature (key cos_g{i}).
-    """
-    take = min(n_samples, len(split))
-    sub = Split(split.images[:take], split.labels[:take])
-    n_blocks = lp.n_blocks
-    lp.eval()
-    fp.eval()
-    sums = {f"cos_b{i}": 0.0 for i in range(1, n_blocks + 1)}
-    sums.update({f"cos_g{i}": 0.0 for i in range(1, n_blocks)})
-    count = 0
-    for images, _ in iter_batches(sub, batch_size):
-        x = Tensor(images)
-        f_lp, _ = lp.forward_collect(x)
-        f_fp, _ = fp.forward_collect(x)
-        batch = len(images)
-        for i in range(1, n_blocks + 1):
-            sums[f"cos_b{i}"] += _cos_rows(f_lp[i - 1].data, f_fp[i - 1].data) * batch
-        for i in range(1, n_blocks):
-            grafted = fp.blocks[i](f_lp[i - 1], False)
-            sums[f"cos_g{i}"] += _cos_rows(grafted.data, f_fp[i].data) * batch
-        count += batch
-    return {k: v / count for k, v in sums.items()}
+    """The cos_* keys of ``evaluate_branches`` over the first n_samples images."""
+    sub = Split(split.images[:n_samples], split.labels[:n_samples])
+    out = evaluate_branches(lp, fp, sub, batch_size, teacher_pass(fp, sub, batch_size, len(sub)))
+    return {key: v for key, v in out.items() if key.startswith("cos_")}
 
 
 def _cos_rows(a: np.ndarray, b: np.ndarray) -> float:
@@ -202,8 +204,10 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
     """The grafted training loop (also the baseline when all toggles are off).
 
     Emits one row per epoch with train losses, per-branch test accuracies,
-    and optional cosine metrics. The frozen FP model is audited every epoch:
-    any parameter drift raises immediately.
+    and optional cosine metrics. The frozen FP model is audited by checksum
+    every epoch, and any drift raises; that audit is what lets its test-set
+    accuracy and block features be computed once, before the first epoch.
+    Each epoch then walks the test split once, without a tape.
     """
     if not fp.frozen:
         raise ValueError("the full-precision counterpart must be frozen")
@@ -212,6 +216,8 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
     schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
     rng = np.random.default_rng(cfg.seed)
     fp_checksum = fp.checksum()
+    acc_f, leading = teacher_pass(fp, test_split, cfg.eval_batch_size,
+                                  cfg.cos_samples if cfg.cos_every else 0)
     rows = []
     for epoch in range(1, cfg.epochs + 1):
         opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
@@ -223,16 +229,10 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
                 sums[key].append(metrics[key])
         if fp.checksum() != fp_checksum:
             raise RuntimeError(f"frozen model drifted during epoch {epoch}")
-        accs = evaluate_branches(lp, fp, test_split, cfg.eval_batch_size)
-        row = {"epoch": epoch, "lr": opt.lr}
-        row.update({k: float(np.mean(v)) for k, v in sums.items()})
-        row["acc_Q"] = accs["Q"]
-        for k in range(1, lp.n_blocks):
-            row[f"acc_M{k}"] = accs[f"M{k}"]
-        row["acc_F"] = accs["F"]
-        if cfg.cos_every and (epoch == 1 or epoch % cfg.cos_every == 0 or epoch == cfg.epochs):
-            row.update(cosine_similarities(lp, fp, test_split, cfg.cos_samples,
-                                           cfg.eval_batch_size))
+        audit = cfg.cos_every and (epoch in (1, cfg.epochs) or epoch % cfg.cos_every == 0)
+        row = {"epoch": epoch, "lr": opt.lr, **{k: float(np.mean(v)) for k, v in sums.items()}}
+        row.update(evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
+                                     (acc_f, leading if audit else [])))
         rows.append(row)
         if on_epoch:
             on_epoch(row, lp)

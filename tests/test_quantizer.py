@@ -248,13 +248,6 @@ def test_disabled_quantizer_is_same_node():
     assert quantize_forward(v, q) is v
 
 
-def test_scale_clamp_restores_floor():
-    q = make_q(scale=1.0)
-    q.scale.data = np.asarray(-0.5, np.float32).reshape(())
-    q.clamp_scale()
-    assert q.scale.data.item() == np.float32(1e-8)
-
-
 # -- composition with linear operators --------------------------------------------------
 
 class _FakeConv:

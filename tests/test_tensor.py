@@ -63,7 +63,8 @@ def test_conv_random_vs_bruteforce(stride, padding, k, extent):
 
 def test_conv_frozen_weight_drops_padded_input(monkeypatch):
     """Only the weight gradient reads the padded input, so a frozen-weight
-    conv must free it after the forward; a trainable one must keep it."""
+    conv must free it after the forward; a trainable one must keep it,
+    unless it runs under no_grad, where no node is wired at all."""
     padded = []
     forward = T._conv2d_forward
 
@@ -77,10 +78,23 @@ def test_conv_frozen_weight_drops_padded_input(monkeypatch):
     w = np.ones((4, 3, 3, 3), np.float32)
     frozen = T.conv2d(x, Tensor(w), padding=1)
     trained = T.conv2d(x, Tensor(w, requires_grad=True), padding=1)
+    with T.no_grad():
+        untaped = T.conv2d(x, Tensor(w, requires_grad=True), padding=1)
     gc.collect()
     assert frozen._grad_fn is not None and trained._grad_fn is not None
     assert padded[0]() is None, "frozen-weight conv keeps its padded input alive"
     assert padded[1]() is not None
+    assert untaped._grad_fn is None and not untaped.requires_grad
+    assert padded[2]() is None, "conv under no_grad keeps its padded input alive"
+
+
+def test_no_grad_restores_the_tape_after_an_exception():
+    w = Tensor(np.ones(3, np.float32), requires_grad=True)
+    with pytest.raises(RuntimeError, match="inside"):
+        with T.no_grad():
+            assert T.relu(w)._grad_fn is None
+            raise RuntimeError("raised inside no_grad")
+    assert T.relu(w)._grad_fn is not None
 
 
 def test_conv_shape_errors():

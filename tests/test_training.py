@@ -1,16 +1,20 @@
 """Optimizer, schedule, evaluation, and epoch-loop tests."""
 
+import math
+
 import numpy as np
 import pytest
 
+import oracles
+from bwrf import training
 from bwrf.config import RunConfig
 from bwrf.data import Split
 from bwrf.graft import LossWeights, graft_forward
-from bwrf.network import BlockSpec, build_model, init_lp_from_fp
+from bwrf.network import BlockModel, BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
 from bwrf.training import (SGD, Schedule, _cos_rows, cosine_similarities,
-                           evaluate, evaluate_branches, lr_at, train_bwrf,
-                           train_fp)
+                           evaluate, evaluate_branches, lr_at, teacher_pass,
+                           train_bwrf, train_fp)
 
 SPEC = BlockSpec(units_per_block=1, in_channels=3, num_classes=10)
 
@@ -173,14 +177,32 @@ def test_evaluate_empty_split_raises():
 def test_evaluate_branches_matches_separate_evaluations():
     lp, fp = make_pair(seed=5)
     split = random_split(32, seed=6)
-    accs = evaluate_branches(lp, fp, split, batch_size=16)
-    assert set(accs) == {"Q", "M1", "M2", "F"}
+    accs = evaluate_branches(lp, fp, split, 16, teacher_pass(fp, split, 16))
+    assert set(accs) == {"acc_Q", "acc_M1", "acc_M2", "acc_F"}
     lp.eval()
-    assert accs["Q"] == evaluate(lp, split, 16)[0]
-    assert accs["F"] == evaluate(fp, split, 16)[0]
+    assert accs["acc_Q"] == evaluate(lp, split, 16)[0]
+    assert accs["acc_F"] == evaluate(fp, split, 16)[0]
     for k in (1, 2):
         forward = lambda x: graft_forward(lp.forward_collect(x)[0], fp, k)
-        assert accs[f"M{k}"] == evaluate(forward, split, 16)[0]
+        assert accs[f"acc_M{k}"] == evaluate(forward, split, 16)[0]
+
+
+@pytest.mark.parametrize("cos_rows", [8, 20, 40, 1024])
+def test_evaluate_branches_matches_two_walk_oracle(cos_rows):
+    """8 rows end inside the first eval batch, 20 inside a later one, 40 is
+    the whole split and 1024 is capped to it. The shared pass must equal the
+    two-walk reference exactly, on every key."""
+    lp, fp = make_pair(seed=17)
+    split = random_split(40, seed=18)
+    lp.eval()
+    lp(Tensor(random_split(16, seed=19).images))  # calibrate the activation scales
+    got = evaluate_branches(lp, fp, split, 16, teacher_pass(fp, split, 16, cos_rows))
+    want = oracles.branch_metrics_two_walks(lp, fp, split, 16, cos_rows)
+    assert list(got) == list(want)
+    for key in want:
+        assert got[key] == want[key], key
+    cos = cosine_similarities(lp, fp, split, n_samples=cos_rows, batch_size=16)
+    assert cos == {key: v for key, v in want.items() if key.startswith("cos_")}
 
 
 # -- cosine metrics ------------------------------------------------------------------
@@ -309,3 +331,33 @@ def test_train_bwrf_audit_catches_frozen_drift():
     with pytest.raises(RuntimeError, match="drifted"):
         train_bwrf(lp, fp, random_split(16, seed=92), random_split(16, seed=93),
                    tiny_cfg(epochs=2, milestones=()), LossWeights(), on_epoch=tamper)
+
+
+def test_train_bwrf_runs_the_teacher_once_and_walks_the_test_split_once_per_epoch(monkeypatch):
+    lp, fp = make_pair(seed=95)
+    n_test, cfg = 40, tiny_cfg(epochs=3, milestones=(), cos_every=1)
+    calls = {"fp": 0, "lp": 0}
+    in_step = []
+    step, forward_collect = training.train_step, BlockModel.forward_collect
+
+    def marked_step(*args):
+        in_step.append(True)
+        try:
+            return step(*args)
+        finally:
+            in_step.pop()
+
+    def counted_forward_collect(model, x):
+        features, logits = forward_collect(model, x)
+        if not in_step:
+            calls["fp" if model is fp else "lp"] += 1
+            assert all(t._grad_fn is None for t in [*features, logits]), "eval built a tape"
+        return features, logits
+
+    monkeypatch.setattr(training, "train_step", marked_step)
+    monkeypatch.setattr(BlockModel, "forward_collect", counted_forward_collect)
+    rows = train_bwrf(lp, fp, random_split(16, seed=96), random_split(n_test, seed=97),
+                      cfg, LossWeights())
+    batches = math.ceil(n_test / cfg.eval_batch_size)
+    assert calls == {"fp": batches, "lp": cfg.epochs * batches}
+    assert all("cos_g2" in row for row in rows)
