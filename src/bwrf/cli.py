@@ -26,17 +26,13 @@ import os
 import sys
 
 from bwrf.checkpoint import CheckpointError, load_into_model, save_model
-from bwrf.config import ConfigError, RunConfig, load_config, resolved_text
+from bwrf.config import ConfigError, RunConfig, block_spec, load_config, resolved_text
 from bwrf.data import DataError, load_cifar10, load_idx_dir, subset
 from bwrf.graft import LossWeights, graft_forward
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.training import cosine_similarities, evaluate, train_bwrf, train_fp
 
 FP_COLUMNS = ("epoch", "lr", "loss", "train_acc", "test_acc")
-
-
-def build_spec(cfg: RunConfig) -> BlockSpec:
-    return BlockSpec.from_arch(cfg.arch, cfg.in_channels, cfg.num_classes)
 
 
 def build_lp(cfg: RunConfig, spec: BlockSpec):
@@ -104,7 +100,7 @@ def cmd_train_fp(args) -> int:
     cfg = load_config(args.config, args.set)
     train, test = load_splits(cfg)
     out_dir = prepare_output_dir(cfg)
-    model = build_model(build_spec(cfg), "fp", seed=cfg.seed)
+    model = build_model(block_spec(cfg), "fp", seed=cfg.seed)
     ckpt_path = cfg.checkpoint or os.path.join(out_dir, "fp.ckpt")
     best = {"acc": -1.0, "epoch": 0}
 
@@ -128,7 +124,7 @@ def _train_lp(args, force_baseline: bool) -> int:
         raise ConfigError("this command needs fp_checkpoint = <path to a train-fp checkpoint>")
     train, test = load_splits(cfg)
     out_dir = prepare_output_dir(cfg)
-    spec = build_spec(cfg)
+    spec = block_spec(cfg)
     fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
     lp = build_lp(cfg, spec)
     init_lp_from_fp(lp, fp)
@@ -156,7 +152,7 @@ def cmd_eval(args) -> int:
     if not cfg.checkpoint:
         raise ConfigError("eval needs checkpoint = <path>")
     _, test = load_splits(cfg)
-    spec = build_spec(cfg)
+    spec = block_spec(cfg)
     branch = cfg.branch
     if branch not in ("Q", "F") and not cfg.fp_checkpoint:
         raise ConfigError(f"branch {branch} needs fp_checkpoint as well")
@@ -180,7 +176,7 @@ def cmd_analyze_similarity(args) -> int:
         raise ConfigError("analyze-similarity needs both checkpoint and fp_checkpoint")
     _, test = load_splits(cfg)
     out_dir = prepare_output_dir(cfg)
-    spec = build_spec(cfg)
+    spec = block_spec(cfg)
     lp = build_lp(cfg, spec)
     load_into_model(cfg.checkpoint, lp, cfg.arch)
     fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)

@@ -24,8 +24,7 @@ class ConfigError(Exception):
 @dataclass
 class RunConfig:
     # model
-    arch: str = "resnet20"
-    n_blocks: int = 3
+    arch: str = "resnet20"  # also fixes the block count
     bits: int = 4
     in_channels: int = 3
     num_classes: int = 10
@@ -113,6 +112,16 @@ def _parse_value(key: str, raw: str):
     return raw
 
 
+def _set(cfg: RunConfig, key: str, raw: str):
+    """Apply one `key = value` entry. n_blocks is no field (the arch fixes it),
+    but archived files carry it, so it loads when it equals that count."""
+    key, raw = key.strip(), raw.strip()
+    if key != "n_blocks":
+        setattr(cfg, key, _parse_value(key, raw))
+    elif raw != str(block_spec(cfg).n_blocks):
+        raise ConfigError(f"n_blocks = {raw} but {cfg.arch} has {block_spec(cfg).n_blocks} blocks")
+
+
 def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
     cfg = dataclasses.replace(base) if base is not None else RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -121,9 +130,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             continue
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line.rstrip()!r}")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        setattr(cfg, key, _parse_value(key, raw))
+        _set(cfg, *stripped.split("=", 1))
     return cfg
 
 
@@ -147,32 +154,36 @@ def apply_overrides(cfg: RunConfig, overrides: list[str]) -> RunConfig:
     for item in overrides:
         if "=" not in item:
             raise ConfigError(f"override must be key=value, got {item!r}")
-        key, _, raw = item.partition("=")
-        setattr(cfg, key.strip(), _parse_value(key.strip(), raw))
+        _set(cfg, *item.split("=", 1))
     return cfg
 
 
-def validate(cfg: RunConfig):
-    from bwrf.network import SUPPORTED_BITS, BlockSpec
+def block_spec(cfg: RunConfig):
+    """The network.BlockSpec of cfg's arch; a bad arch is a ConfigError."""
+    from bwrf.network import BlockSpec
 
     try:
-        spec = BlockSpec.from_arch(cfg.arch, cfg.in_channels, cfg.num_classes)
+        return BlockSpec.from_arch(cfg.arch, cfg.in_channels, cfg.num_classes)
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    if cfg.n_blocks != spec.n_blocks:
-        raise ConfigError(f"n_blocks = {cfg.n_blocks} but {cfg.arch} has {spec.n_blocks} blocks")
+
+
+def validate(cfg: RunConfig):
+    from bwrf.network import SUPPORTED_BITS
+
+    n_blocks = block_spec(cfg).n_blocks
     if cfg.bits not in SUPPORTED_BITS:
         raise ConfigError(f"bits = {cfg.bits} unsupported; choose from {SUPPORTED_BITS}")
-    if len(cfg.alpha) != cfg.n_blocks - 1:
-        raise ConfigError(f"alpha needs {cfg.n_blocks - 1} entries, got {len(cfg.alpha)}")
+    if len(cfg.alpha) != n_blocks - 1:
+        raise ConfigError(f"alpha needs {n_blocks - 1} entries, got {len(cfg.alpha)}")
     if any(a < 0 for a in cfg.alpha):
         raise ConfigError("alpha entries must be non-negative")
     if cfg.temperature <= 0:
         raise ConfigError("temperature must be positive")
     if cfg.mp_branches is not None:
-        bad = [k for k in cfg.mp_branches if not 1 <= k <= cfg.n_blocks - 1]
+        bad = [k for k in cfg.mp_branches if not 1 <= k <= n_blocks - 1]
         if bad:
-            raise ConfigError(f"mp_branches entries out of range 1..{cfg.n_blocks - 1}: {bad}")
+            raise ConfigError(f"mp_branches entries out of range 1..{n_blocks - 1}: {bad}")
     if cfg.epochs < 1:
         raise ConfigError("epochs must be at least 1")
     if list(cfg.milestones) != sorted(set(cfg.milestones)):
@@ -194,8 +205,8 @@ def validate(cfg: RunConfig):
         raise ConfigError("normalize_mean/std must have one entry per input channel")
     if any(s <= 0 for s in cfg.normalize_std):
         raise ConfigError("normalize_std entries must be positive")
-    if not _valid_branch(cfg.branch, cfg.n_blocks):
-        raise ConfigError(f"branch must be Q, F, or M1..M{cfg.n_blocks - 1}, got {cfg.branch!r}")
+    if not _valid_branch(cfg.branch, n_blocks):
+        raise ConfigError(f"branch must be Q, F, or M1..M{n_blocks - 1}, got {cfg.branch!r}")
     if cfg.cos_every < 0 or cfg.cos_samples < 1:
         raise ConfigError("cos_every must be >= 0 and cos_samples >= 1")
 

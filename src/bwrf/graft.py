@@ -101,7 +101,8 @@ def graft_forward(lp_features: list, fp_model, k: int) -> Tensor:
 
 
 def bwrf_forward(lp, fp, x: Tensor, w: LossWeights) -> GraftOutput:
-    """LP forward plus exactly the FP work the enabled loss terms consume."""
+    """LP forward plus exactly the FP work the enabled loss terms consume;
+    with every term off that is none, and fp may be None."""
     n = lp.n_blocks
     lp_features, y_q = lp.forward_collect(x)
     y_f = fp(x).detach() if w.any_distill() else None

@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from bwrf import quantizer
 from bwrf import tensor as T
-from bwrf.quantizer import Quantizer, init_scale, quantized_conv2d, quantized_linear
+from bwrf.quantizer import Quantizer, init_scale
 from bwrf.tensor import Tensor
 
 BOUNDARY_BITS = 8  # stem conv and head always quantize at 8 bits
@@ -38,9 +39,10 @@ class Conv2d:
         self.aq: Quantizer | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.wq is not None or self.aq is not None:
-            return quantized_conv2d(x, self, self.wq, self.aq)
-        return T.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
+        w = self.weight
+        if self.wq is not None:  # wq and aq are attached together
+            x, w = quantizer.quantize_forward(x, self.aq), quantizer.quantize_forward(w, self.wq)
+        return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
 
 
 class Linear:
@@ -53,9 +55,10 @@ class Linear:
         self.aq: Quantizer | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
-        if self.wq is not None or self.aq is not None:
-            return quantized_linear(x, self, self.wq, self.aq)
-        return T.linear(x, self.weight, self.bias)
+        w = self.weight
+        if self.wq is not None:
+            x, w = quantizer.quantize_forward(x, self.aq), quantizer.quantize_forward(w, self.wq)
+        return T.linear(x, w, self.bias)
 
 
 class BatchNorm2d:

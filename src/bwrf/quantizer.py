@@ -16,7 +16,6 @@ import math
 
 import numpy as np
 
-from bwrf import tensor as T
 from bwrf.tensor import Tensor, custom_op
 
 SCALE_FLOOR = 1e-8
@@ -86,30 +85,6 @@ def init_scale(v, q: Quantizer) -> float:
     return max(s, SCALE_FLOOR)
 
 
-def quantize_backward_input(upstream, v, q: Quantizer, scale: float | None = None):
-    """Straight-through input gradient: upstream masked to the open clip range."""
-    g = np.asarray(upstream.data if isinstance(upstream, Tensor) else upstream)
-    data = np.asarray(v.data if isinstance(v, Tensor) else v)
-    s = np.float32(q.scale.data.item() if scale is None else scale)
-    vs = data / s
-    return g * ((q.qmin < vs) & (vs < q.qmax))
-
-
-def quantize_backward_scale(upstream, v, q: Quantizer, scale: float | None = None):
-    """Scale gradient summed over elements, as a float32 scalar."""
-    g = np.asarray(upstream.data if isinstance(upstream, Tensor) else upstream)
-    data = np.asarray(v.data if isinstance(v, Tensor) else v)
-    s = np.float32(q.scale.data.item() if scale is None else scale)
-    vs = data / s
-    inner = _round_half_away(np.clip(vs, q.qmin, q.qmax)) - vs
-    term = np.where(vs <= q.qmin, np.float32(q.qmin),
-                    np.where(vs >= q.qmax, np.float32(q.qmax), inner))
-    total = (g * term).sum(dtype=np.float32)
-    if q.grad_scale_enabled:
-        total = total * np.float32(1.0 / math.sqrt(data.size * q.qmax))
-    return np.asarray(total, dtype=np.float32).reshape(())
-
-
 def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     """Apply fake quantization as a graph op with the straight-through backward.
 
@@ -131,9 +106,6 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     factor = (np.float32(1.0 / math.sqrt(vs.size * q.qmax))
               if q.grad_scale_enabled else None)
 
-    # The backward closure reuses vs and rc; the arithmetic mirrors
-    # quantize_backward_input / quantize_backward_scale operation for
-    # operation, so both paths stay bit-identical.
     def grad_fn(g):
         gv = g * ((q.qmin < vs) & (vs < q.qmax)) if v.requires_grad else None
         term = np.where(vs <= q.qmin, qmin32, np.where(vs >= q.qmax, qmax32, rc - vs))
@@ -143,17 +115,3 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
         return gv, np.full((1,), gs, dtype=np.float32)
 
     return custom_op("quantize", out_data, (v, q.scale), grad_fn)
-
-
-def quantized_conv2d(x: Tensor, conv, wq: Quantizer | None, aq: Quantizer | None) -> Tensor:
-    """conv2d on (quantized activation, quantized weight); bias untouched."""
-    xq = quantize_forward(x, aq) if aq is not None else x
-    w = quantize_forward(conv.weight, wq) if wq is not None else conv.weight
-    return T.conv2d(xq, w, conv.bias, stride=conv.stride, padding=conv.padding)
-
-
-def quantized_linear(x: Tensor, layer, wq: Quantizer | None, aq: Quantizer | None) -> Tensor:
-    """linear on (quantized activation, quantized weight); bias untouched."""
-    xq = quantize_forward(x, aq) if aq is not None else x
-    w = quantize_forward(layer.weight, wq) if wq is not None else layer.weight
-    return T.linear(xq, w, layer.bias)

@@ -16,18 +16,17 @@ GEMM per tap over the N*OH*OW output positions, and its input gradient
 adds the taps' contributions in the same tap order.
 
 Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
-their inputs; the public Tensor API stores float32. Tests exploit this to
-run finite-difference oracles in float64.
+their inputs; the public Tensor API stores float32. The finite-difference
+oracles do not use them: they difference independently written float64
+functions (tests/oracles.py).
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 
 import numpy as np
 
-_node_ids = itertools.count()
 _grad_enabled = True
 
 
@@ -45,13 +44,12 @@ def no_grad():
 class Tensor:
     """A numpy-backed array node in a reverse-mode differentiation graph."""
 
-    __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents", "_grad_fn", "_op")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         self.requires_grad = bool(requires_grad)
         self.grad = None
-        self.node_id = next(_node_ids)
         self._parents = ()
         self._grad_fn = None
         self._op = "leaf"

@@ -1,4 +1,4 @@
-"""Optimizer, learning-rate schedule, evaluation, and the epoch loops.
+"""Optimizer, learning-rate schedule, evaluation, and the epoch loop.
 
 SGD with momentum: buf <- m*buf + (grad + wd*param); param <- param - lr*buf.
 Weight decay is never applied to batchnorm parameters or quantizer scales,
@@ -14,7 +14,7 @@ import numpy as np
 
 from bwrf import tensor as T
 from bwrf.data import Split, iter_batches
-from bwrf.graft import LossWeights, top1_percent, train_step
+from bwrf.graft import LossWeights, train_step
 from bwrf.quantizer import SCALE_FLOOR
 from bwrf.tensor import Tensor
 
@@ -161,42 +161,27 @@ def _cos_rows(a: np.ndarray, b: np.ndarray) -> float:
     return float((num / den).mean())
 
 
-# -- epoch loops --------------------------------------------------------------------
+# -- the epoch loop --------------------------------------------------------------------
+
+# With no counterpart and every term off, train_step is plain cross-entropy.
+PLAIN_CE = LossWeights(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
+                       use_avg_labels=False)
 
 
 def train_fp(model, train_split: Split, test_split: Split, cfg, on_epoch=None) -> list:
-    """Plain cross-entropy training of the full-precision model.
+    """Plain cross-entropy training of the full-precision model: the grafted
+    step with no counterpart and every loss term off.
 
     Returns one row per epoch: epoch, lr, loss, train_acc, test_acc. The
     caller follows best test accuracy for checkpoint selection.
     """
-    opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay)
-    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
-    rng = np.random.default_rng(cfg.seed)
-    rows = []
-    for epoch in range(1, cfg.epochs + 1):
-        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
-        model.train()
-        losses, accs = [], []
-        for images, labels in iter_batches(train_split, cfg.batch_size, rng,
-                                           augment=cfg.augment):
-            for _, p, _ in model.param_groups():
-                p.grad = None
-            logits = model(Tensor(images))
-            loss = T.cross_entropy(logits, labels)
-            loss.backward()
-            opt.step()
-            losses.append(loss.item())
-            accs.append(top1_percent(logits, labels))
+    def epoch_row(epoch, sums):
         model.eval()
-        top1, _ = evaluate(model, test_split, cfg.eval_batch_size)
-        row = {"epoch": epoch, "lr": opt.lr, "loss": float(np.mean(losses)),
-               "train_acc": float(np.mean(accs)), "test_acc": top1}
-        rows.append(row)
-        if on_epoch:
-            on_epoch(row, model)
-    return rows
+        return {"loss": float(np.mean(sums["loss_total"])),
+                "train_acc": float(np.mean(sums["train_acc_Q"])),
+                "test_acc": evaluate(model, test_split, cfg.eval_batch_size)[0]}
+
+    return _train(model, None, train_split, cfg, PLAIN_CE, epoch_row, on_epoch)
 
 
 def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeights,
@@ -211,29 +196,39 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
     """
     if not fp.frozen:
         raise ValueError("the full-precision counterpart must be frozen")
-    opt = SGD(lp.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
-              weight_decay=cfg.weight_decay, scale_lr_mult=cfg.scale_lr_mult)
-    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
-    rng = np.random.default_rng(cfg.seed)
     fp_checksum = fp.checksum()
     acc_f, leading = teacher_pass(fp, test_split, cfg.eval_batch_size,
                                   cfg.cos_samples if cfg.cos_every else 0)
-    rows = []
-    for epoch in range(1, cfg.epochs + 1):
-        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
-        lp.train()
-        sums = {"loss_total": [], "loss_target": [], "loss_distill": [], "train_acc_Q": []}
-        for batch in iter_batches(train_split, cfg.batch_size, rng, augment=cfg.augment):
-            metrics = train_step(lp, fp, batch, w, opt)
-            for key in sums:
-                sums[key].append(metrics[key])
+
+    def epoch_row(epoch, sums):
         if fp.checksum() != fp_checksum:
             raise RuntimeError(f"frozen model drifted during epoch {epoch}")
         audit = cfg.cos_every and (epoch in (1, cfg.epochs) or epoch % cfg.cos_every == 0)
-        row = {"epoch": epoch, "lr": opt.lr, **{k: float(np.mean(v)) for k, v in sums.items()}}
-        row.update(evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
-                                     (acc_f, leading if audit else [])))
+        return {**{k: float(np.mean(v)) for k, v in sums.items()},
+                **evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
+                                    (acc_f, leading if audit else []))}
+
+    return _train(lp, fp, train_split, cfg, w, epoch_row, on_epoch)
+
+
+def _train(model, fp, train_split: Split, cfg, w: LossWeights, epoch_row, on_epoch) -> list:
+    """Run cfg.epochs of train_step over the shuffled split; each epoch's row is
+    epoch, lr, then epoch_row(epoch, per-step metric lists)."""
+    opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
+              weight_decay=cfg.weight_decay, scale_lr_mult=cfg.scale_lr_mult)
+    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
+        model.train()
+        sums = {"loss_total": [], "loss_target": [], "loss_distill": [], "train_acc_Q": []}
+        for batch in iter_batches(train_split, cfg.batch_size, rng, augment=cfg.augment):
+            metrics = train_step(model, fp, batch, w, opt)
+            for key in sums:
+                sums[key].append(metrics[key])
+        row = {"epoch": epoch, "lr": opt.lr, **epoch_row(epoch, sums)}
         rows.append(row)
         if on_epoch:
-            on_epoch(row, lp)
+            on_epoch(row, model)
     return rows

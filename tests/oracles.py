@@ -444,3 +444,44 @@ def branch_metrics_two_walks(lp, fp, split, batch_size, cos_samples):
         count += batch
     out.update({key: v / count for key, v in sums.items()})
     return out
+
+
+# -- full-precision training oracle ----------------------------------------------
+
+
+def train_fp_plain_ce(model, train_split, test_split, cfg, on_epoch=None):
+    """The full-precision epoch loop as written before train_fp ran through
+    graft.train_step: zero the gradients, cross-entropy, backward and one SGD
+    step per batch, then an eval-mode top-1 pass. Optimizer, schedule,
+    batching and evaluation come from bwrf."""
+    from bwrf.data import iter_batches
+    from bwrf.graft import top1_percent
+    from bwrf.training import SGD, Schedule, evaluate, lr_at
+
+    opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
+              weight_decay=cfg.weight_decay)
+    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
+    rng = np.random.default_rng(cfg.seed)
+    rows = []
+    for epoch in range(1, cfg.epochs + 1):
+        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
+        model.train()
+        losses, accs = [], []
+        for images, labels in iter_batches(train_split, cfg.batch_size, rng,
+                                           augment=cfg.augment):
+            for _, p, _ in model.param_groups():
+                p.grad = None
+            logits = model(Tensor(images))
+            loss = T.cross_entropy(logits, labels)
+            loss.backward()
+            opt.step()
+            losses.append(loss.item())
+            accs.append(top1_percent(logits, labels))
+        model.eval()
+        top1, _ = evaluate(model, test_split, cfg.eval_batch_size)
+        row = {"epoch": epoch, "lr": opt.lr, "loss": float(np.mean(losses)),
+               "train_acc": float(np.mean(accs)), "test_acc": top1}
+        rows.append(row)
+        if on_epoch:
+            on_epoch(row, model)
+    return rows

@@ -2,13 +2,20 @@
 look them up (training.evaluate_branches, BlockModel.forward_collect,
 graft.graft_forward and others). This runs its hooks against the current
 sources so a rename fails here rather than only in the benchmark's own,
-slower tests. Nothing under perfbench/ is written."""
+slower tests. A call site that imports a wrapped name directly bypasses the
+wrapper and zeroes that span's metric, so each wrapped span must be recorded
+at least once. Nothing under perfbench/ is written."""
 
 import os
 import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# spans every traced grafted run records, in some phase
+SPANS = ("quantizer.quantize.fwd", "quantizer.quantize.bwd", "network.lp_forward",
+         "network.fp_forward", "graft.graft_forward", "graft.loss", "training.sgd_step",
+         "training.fp_audit", "tensor.conv2d.fwd.c16")
 
 SCRIPT = """
 import sys
@@ -40,11 +47,14 @@ training.train_bwrf(lp, fp, split, split, cfg, LossWeights())
 training.cosine_similarities(lp, fp, split, 4, 8)
 assert len(steps) == 1 and [e["n"] for e in evals] == [8, 4], (steps, evals)
 assert tracer.summary()["counts"]["eval/images"] == 12
+missing = sorted(set({spans!r}) - {{span[0] for span in tracer.spans}})
+assert not missing, f"no span recorded for {{missing}}"
 """
 
 
 def test_benchmark_hooks_wrap_the_current_sources():
-    script = SCRIPT.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "perfbench"))
+    script = SCRIPT.format(src=os.path.join(ROOT, "src"), bench=os.path.join(ROOT, "perfbench"),
+                           spans=SPANS)
     proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -191,6 +191,11 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     ok.write_text("epochs = 1\nmilestones =\n")
     assert entry(["train-bwrf", "--config", str(ok)]) == 2, "missing fp_checkpoint"
     assert "error" in capsys.readouterr().err
+    assert entry(["train-fp", "--config", str(ok), "--set", "n_blocks=4"]) == 2
+    legacy = tmp_path / "legacy.cfg"
+    legacy.write_text("arch = resnet8\nn_blocks = 4\nepochs = 1\nmilestones =\n")
+    assert entry(["train-fp", "--config", str(legacy)]) == 2
+    assert "n_blocks = 4 but resnet8 has 3 blocks" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_data_errors(tmp_path, capsys):

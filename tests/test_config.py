@@ -1,11 +1,14 @@
 """Run-configuration parsing, validation, and round-trip tests."""
 
 import dataclasses
+import os
 
 import pytest
 
 from bwrf.config import (DATA_DIR_ENV, ConfigError, RunConfig, apply_overrides,
                          load_config, parse_config_text, resolved_text, validate)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_empty_text_gives_defaults():
@@ -95,7 +98,7 @@ def test_load_config_validates(tmp_path):
 
 def test_resolved_text_round_trips():
     cfg = RunConfig(bits=8, lr=0.123456789, alpha=(0.5,), arch="resnet8",
-                    n_blocks=3, milestones=(10, 20), mp_branches=None,
+                    milestones=(10, 20), mp_branches=None,
                     augment=False, fp_checkpoint="runs/fp.ckpt", seed=3)
     text = resolved_text(cfg)
     assert parse_config_text(text) == cfg
@@ -109,10 +112,39 @@ def test_resolved_text_renders_all_fields():
         assert f"{f.name} = " in text
 
 
+def test_legacy_n_blocks_key_loads_when_it_matches_the_arch():
+    """n_blocks is derived from arch; archived files that set it still load."""
+    assert parse_config_text("n_blocks = 3\n") == RunConfig()
+    assert parse_config_text("n_blocks = 3\narch = resnet8\n") == RunConfig(arch="resnet8")
+    assert apply_overrides(RunConfig(), ["n_blocks=3"]) == RunConfig()
+    assert "n_blocks" not in resolved_text(RunConfig())
+
+
+def test_legacy_n_blocks_key_rejects_another_count():
+    for text in ("n_blocks = 4\n", "arch = resnet8\nn_blocks = 4\n"):
+        with pytest.raises(ConfigError, match="n_blocks = 4 but resnet.* has 3 blocks"):
+            parse_config_text(text)
+    with pytest.raises(ConfigError, match="n_blocks = 2"):
+        apply_overrides(RunConfig(), ["n_blocks = 2"])
+    with pytest.raises(ConfigError, match="n_blocks = x"):
+        parse_config_text("n_blocks = x\n")
+
+
+def test_archived_rehearsal_config_loads(monkeypatch):
+    path = os.path.join(ROOT, "demos", "rehearsal", "bwrf_seed0_resolved.cfg")
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    assert "n_blocks = 3\n" in text
+    cfg = load_config(path)
+    assert (cfg.arch, cfg.cos_every, cfg.subset_fraction) == ("resnet8", 10, 0.2)
+    assert resolved_text(cfg) == text.replace("n_blocks = 3\n", "")
+
+
 @pytest.mark.parametrize("override, message", [
     (dict(arch="vgg16"), "arch"),
     (dict(arch="resnet21"), "depth must be 6u"),
-    (dict(n_blocks=4), "n_blocks = 4"),
+    (dict(eval_batch_size=0), "batch sizes"),
     (dict(bits=5), "unsupported"),
     (dict(alpha=(1.0,)), "alpha needs 2"),
     (dict(alpha=(1.0, -1.0)), "non-negative"),

@@ -7,9 +7,8 @@ import pytest
 
 import oracles
 from bwrf import tensor as T
-from bwrf.quantizer import (Quantizer, init_scale, quantize_backward_input,
-                            quantize_backward_scale, quantize_forward,
-                            quantized_conv2d, quantized_linear)
+from bwrf.network import Conv2d, Linear
+from bwrf.quantizer import Quantizer, init_scale, quantize_forward
 from bwrf.tensor import Tensor
 
 
@@ -17,6 +16,14 @@ def make_q(bits=3, signed=True, grad_scale=False, scale=1.0):
     q = Quantizer(bits, signed=signed, grad_scale_enabled=grad_scale)
     q.set_scale(scale)
     return q
+
+
+def ste_grads(upstream, v, q):
+    """(input gradient, scale gradient) of sum(upstream * quantize_forward(v))."""
+    vt = Tensor(v, requires_grad=True)
+    q.scale.grad = None
+    T.mul(quantize_forward(vt, q), Tensor(upstream)).sum().backward()
+    return vt.grad, q.scale.grad.item()
 
 
 # -- construction ---------------------------------------------------------------
@@ -116,13 +123,13 @@ def test_inrange_rounding_error_bound():
 def test_input_grad_passes_in_range():
     q = make_q(bits=3, signed=True, scale=1.0)
     g = np.array([0.7], np.float32)
-    out = quantize_backward_input(g, np.array([1.2], np.float32), q)
+    out, _ = ste_grads(g, np.array([1.2], np.float32), q)
     np.testing.assert_array_equal(out, g)
 
 
 def test_input_grad_zero_outside_range():
     q = make_q(bits=3, signed=True, scale=1.0)
-    out = quantize_backward_input(np.ones(1, np.float32), np.array([5.0], np.float32), q)
+    out, _ = ste_grads(np.ones(1, np.float32), np.array([5.0], np.float32), q)
     assert out[0] == 0.0
 
 
@@ -131,7 +138,7 @@ def test_input_grad_mask_matches_scalar_indicator():
     q = make_q(bits=3, signed=True, scale=0.73)
     v = (rng.standard_normal(300) * 4).astype(np.float32)
     g = rng.standard_normal(300).astype(np.float32)
-    got = quantize_backward_input(g, v, q)
+    got, _ = ste_grads(g, v, q)
     want = np.array([g[i] * oracles.ste_mask_scalar_ref(v[i], 0.73, q.qmin, q.qmax)
                      for i in range(300)], np.float32)
     np.testing.assert_array_equal(got, want)
@@ -142,13 +149,13 @@ def test_input_grad_mask_matches_scalar_indicator():
 def test_scale_grad_saturated_values():
     q = make_q(bits=3, signed=True, scale=1.0, grad_scale=False)
     ones = np.ones(1, np.float32)
-    assert quantize_backward_scale(ones, np.array([10.0], np.float32), q) == 3.0
-    assert quantize_backward_scale(ones, np.array([-10.0], np.float32), q) == -4.0
+    assert ste_grads(ones, np.array([10.0], np.float32), q)[1] == 3.0
+    assert ste_grads(ones, np.array([-10.0], np.float32), q)[1] == -4.0
 
 
 def test_scale_grad_in_range_value_and_fd():
     q = make_q(bits=3, signed=True, scale=1.0, grad_scale=False)
-    got = quantize_backward_scale(np.ones(1, np.float32), np.array([1.2], np.float32), q)
+    _, got = ste_grads(np.ones(1, np.float32), np.array([1.2], np.float32), q)
     assert abs(float(got) - (-0.2)) < 1e-6
     fd = oracles.scale_grad_fd_ref(np.float32(1.2), 1.0, q.qmin, q.qmax, h=1e-5)
     assert abs(float(got) - fd) < 1e-3
@@ -170,8 +177,7 @@ def test_scale_grad_matches_fd_sweep():
             continue
         s = q.scale.data.item()
         v = np.float32(u * s)
-        got = float(quantize_backward_scale(np.ones(1, np.float32),
-                                            np.array([v], np.float32), q))
+        _, got = ste_grads(np.ones(1, np.float32), np.array([v], np.float32), q)
         h = 1e-3 * s / max(1.0, abs(u))
         fd = oracles.scale_grad_fd_ref(v, s, q.qmin, q.qmax, h=h)
         denom = max(abs(fd), 1e-3)
@@ -184,12 +190,12 @@ def test_scale_grad_upstream_weighting_and_grad_scale_factor():
     v = (rng.standard_normal(64) * 2).astype(np.float32)
     g = rng.standard_normal(64).astype(np.float32)
     q = make_q(bits=4, signed=True, scale=0.5, grad_scale=False)
-    base = float(quantize_backward_scale(g, v, q))
+    _, base = ste_grads(g, v, q)
     want = sum(g[i] * oracles.scale_grad_scalar_ref(v[i], 0.5, q.qmin, q.qmax)
                for i in range(64))
     assert abs(base - want) < 1e-4
     qs = make_q(bits=4, signed=True, scale=0.5, grad_scale=True)
-    scaled = float(quantize_backward_scale(g, v, qs))
+    _, scaled = ste_grads(g, v, qs)
     assert abs(scaled - base / np.sqrt(64 * 7)) < 1e-6
 
 
@@ -237,8 +243,13 @@ def test_graph_grads_route_to_input_and_scale():
     g = rng.standard_normal(32).astype(np.float32)
     loss = T.mul(quantize_forward(v, q), Tensor(g)).sum()
     loss.backward()
-    np.testing.assert_allclose(v.grad, quantize_backward_input(g, v.data, q), atol=1e-7)
-    np.testing.assert_allclose(q.scale.grad, quantize_backward_scale(g, v.data, q), atol=1e-7)
+    s = q.scale.data.item()
+    mask = np.array([oracles.ste_mask_scalar_ref(x, s, q.qmin, q.qmax) for x in v.data],
+                    np.float32)
+    np.testing.assert_allclose(v.grad, g * mask, atol=1e-7)
+    want = sum(g[i] * oracles.scale_grad_scalar_ref(v.data[i], s, q.qmin, q.qmax)
+               for i in range(32)) / np.sqrt(32 * q.qmax)
+    np.testing.assert_allclose(q.scale.grad, [want], atol=1e-7)
 
 
 def test_disabled_quantizer_is_same_node():
@@ -250,23 +261,15 @@ def test_disabled_quantizer_is_same_node():
 
 # -- composition with linear operators --------------------------------------------------
 
-class _FakeConv:
-    def __init__(self, weight, bias, stride=1, padding=0):
-        self.weight = weight
-        self.bias = bias
-        self.stride = stride
-        self.padding = padding
-
-
 def test_quantized_conv_matches_explicit_composition():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
-    wt = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
-    b = Tensor(rng.standard_normal(4).astype(np.float32))
-    conv = _FakeConv(wt, b, stride=1, padding=1)
-    wq = make_q(bits=4, signed=True, scale=0.11)
-    aq = make_q(bits=4, signed=False, scale=0.21)
-    got = quantized_conv2d(x, conv, wq, aq)
+    conv = Conv2d(3, 4, 3, stride=1, padding=1, bias=True, rng=rng)
+    conv.weight = wt = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
+    conv.bias = b = Tensor(rng.standard_normal(4).astype(np.float32))
+    conv.wq = wq = make_q(bits=4, signed=True, scale=0.11)
+    conv.aq = aq = make_q(bits=4, signed=False, scale=0.21)
+    got = conv(x)
     want = T.conv2d(quantize_forward(x, aq), quantize_forward(wt, wq), b,
                     stride=1, padding=1)
     np.testing.assert_array_equal(got.data, want.data)
@@ -274,20 +277,22 @@ def test_quantized_conv_matches_explicit_composition():
 
 def test_quantized_conv_identity_kernel_returns_quantized_input():
     x = Tensor(np.random.default_rng(13).standard_normal((1, 1, 4, 4)).astype(np.float32))
-    conv = _FakeConv(Tensor(np.ones((1, 1, 1, 1), np.float32)), None)
-    wq = make_q(bits=3, signed=True, scale=1.0)
-    aq = make_q(bits=3, signed=True, scale=0.4)
-    got = quantized_conv2d(x, conv, wq, aq)
+    conv = Conv2d(1, 1, 1, rng=np.random.default_rng(0))
+    conv.weight = Tensor(np.ones((1, 1, 1, 1), np.float32))
+    conv.wq = make_q(bits=3, signed=True, scale=1.0)
+    conv.aq = aq = make_q(bits=3, signed=True, scale=0.4)
+    got = conv(x)
     np.testing.assert_array_equal(got.data, quantize_forward(x, aq).data)
 
 
 def test_high_bit_quantizer_approaches_identity():
     rng = np.random.default_rng(14)
     x = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
-    wt = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
-    layer = _FakeConv(wt, None)
-    wq = make_q(bits=16, signed=True, scale=1e-4)
-    aq = make_q(bits=16, signed=True, scale=1e-4)
-    got = quantized_linear(x, layer, wq, aq)
+    layer = Linear(5, 4, rng=rng)
+    layer.weight = wt = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
+    layer.bias = None
+    layer.wq = make_q(bits=16, signed=True, scale=1e-4)
+    layer.aq = make_q(bits=16, signed=True, scale=1e-4)
+    got = layer(x)
     want = T.linear(x, wt)
     np.testing.assert_allclose(got.data, want.data, atol=1e-3)

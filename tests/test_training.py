@@ -267,6 +267,23 @@ def test_train_fp_is_deterministic():
     assert sum_a == sum_b
 
 
+def test_train_fp_matches_the_plain_cross_entropy_loop():
+    """Three epochs with a milestone, augmentation and a partial last batch
+    (36 = 2 x 16 + 4): rows == and every state array byte-equal to the loop
+    train_fp replaced."""
+    runs = []
+    for loop in (train_fp, oracles.train_fp_plain_ce):
+        model = build_model(SPEC, "fp", seed=35)
+        rows = loop(model, random_split(36, seed=36), random_split(20, seed=37),
+                    tiny_cfg(epochs=3, milestones=(2,), augment=True))
+        runs.append((rows, model.state_dict()))
+    (rows, state), (want_rows, want_state) = runs
+    assert rows == want_rows
+    assert list(state) == list(want_state)
+    for name, arr in state.items():
+        assert arr.tobytes() == want_state[name].tobytes(), name
+
+
 def test_train_fp_on_epoch_callback_sees_rows():
     model = build_model(SPEC, "fp", seed=41)
     seen = []
