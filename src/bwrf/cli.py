@@ -14,8 +14,10 @@ Subcommands:
 
 Every command takes --config FILE plus repeatable --set key=value
 overrides, writes its resolved configuration next to its outputs, and
-exits 0 on success, 2 on configuration errors, 3 on data errors, and 4 on
-checkpoint errors.
+exits 0 on success, 2 on configuration errors, 3 on data errors, 4 on
+checkpoint errors, and 5 when training meets a non-finite loss or
+quantizer scale (the message names the epoch, the step and the tensor; a
+checkpoint saved by an earlier epoch is left as it was).
 """
 
 from __future__ import annotations
@@ -30,7 +32,8 @@ from bwrf.config import ConfigError, RunConfig, block_spec, load_config, resolve
 from bwrf.data import DataError, load_cifar10, load_idx_dir, subset
 from bwrf.graft import LossWeights, graft_forward
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
-from bwrf.training import cosine_similarities, evaluate, train_bwrf, train_fp
+from bwrf.training import (NumericsError, cosine_similarities, evaluate, train_bwrf,
+                            train_fp)
 
 FP_COLUMNS = ("epoch", "lr", "loss", "train_acc", "test_acc")
 
@@ -225,6 +228,9 @@ def entry(argv=None) -> int:
     except CheckpointError as e:
         print(f"checkpoint error: {e}", file=sys.stderr)
         return 4
+    except NumericsError as e:
+        print(f"numerics error: {e}", file=sys.stderr)
+        return 5
 
 
 def main():

@@ -8,6 +8,11 @@ qmin/qmax at or beyond the respective threshold, optionally multiplied by
 1/sqrt(n_elements * qmax).
 
 All range comparisons use v/s, matching the clip in the forward.
+
+The forward rounds in buffers it owns and, only when the op goes on the
+tape, keeps for the backward a bool in-range mask and one float32 array
+of the per-element scale-gradient terms; v/s and its rounding are not
+kept. Under ``no_grad`` it keeps nothing.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import math
 
 import numpy as np
 
-from bwrf.tensor import Tensor, custom_op
+from bwrf.tensor import Tensor, custom_op, recording
 
 SCALE_FLOOR = 1e-8
 
@@ -73,7 +78,9 @@ def _round_half_away(x):
     """
     t = np.trunc(x)
     f = x - t
-    return t + (f >= 0.5).astype(x.dtype) - (f <= -0.5).astype(x.dtype)
+    t += f >= 0.5
+    t -= f <= -0.5
+    return t
 
 
 def init_scale(v, q: Quantizer) -> float:
@@ -99,16 +106,22 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     if s <= 0:
         raise ValueError(f"quantizer scale must be positive, got {s}")
     s32 = np.float32(s)
-    vs = v.data / s32
-    rc = _round_half_away(np.clip(vs, q.qmin, q.qmax))
-    out_data = rc * s32
-    qmin32, qmax32 = np.float32(q.qmin), np.float32(q.qmax)
-    factor = (np.float32(1.0 / math.sqrt(vs.size * q.qmax))
+    vc = v.data / s32
+    np.clip(vc, q.qmin, q.qmax, out=vc)
+    rc = _round_half_away(vc)
+    inside = term = None
+    if recording((v, q.scale)):
+        # v/s lies strictly inside the clip range exactly where its clipped
+        # value does, and equals it there
+        inside = (q.qmin < vc) & (vc < q.qmax)
+        # rc - v/s inside the range; outside it rc is the threshold itself
+        term = np.subtract(rc, np.multiply(vc, inside, out=vc), out=vc)
+    out_data = np.multiply(rc, s32, out=rc)
+    factor = (np.float32(1.0 / math.sqrt(v.data.size * q.qmax))
               if q.grad_scale_enabled else None)
 
     def grad_fn(g):
-        gv = g * ((q.qmin < vs) & (vs < q.qmax)) if v.requires_grad else None
-        term = np.where(vs <= q.qmin, qmin32, np.where(vs >= q.qmax, qmax32, rc - vs))
+        gv = g * inside if v.requires_grad else None
         gs = (g * term).sum(dtype=np.float32)
         if factor is not None:
             gs = gs * factor

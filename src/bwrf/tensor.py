@@ -13,7 +13,20 @@ so repeated runs in one environment are bit-identical. A kh x kw
 convolution sums kh*kw GEMMs with K = C (one per kernel tap, in row-major
 tap order), not one GEMM with K = kh*kw*C; its weight gradient is one
 GEMM per tap over the N*OH*OW output positions, and its input gradient
-adds the taps' contributions in the same tap order.
+adds the taps' contributions in the same tap order. The forward runs one
+batch tile (CONV_TILE images) at a time so each tile's buffers stay in
+cache; the reduction order is unchanged by the tiling, since every output
+row's sum over K and every tap order is the same, provided the BLAS
+computes a GEMM row the same way whatever the row count. OpenBLAS
+0.3.31's SkylakeX kernels do for the network's shapes, and were seen not
+to for N in {3, 8} with K >= 32. The backward is not tiled: a tiled
+weight gradient would split its sum over rows, and a tiled input gradient
+measured no faster.
+
+Batchnorm centres its input once, for the variance and for xhat, and
+reuses two buffers in its backward; a first gradient arrival is written
+once as g + 0.0 into a fresh array of the input's shape and dtype, which
+is zeros + g to the bit (-0 becomes +0).
 
 Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
 their inputs; the public Tensor API stores float32. The finite-difference
@@ -168,8 +181,18 @@ def _reverse_topo(root: Tensor):
 def _accumulate(t: Tensor, g):
     if t.requires_grad:
         if t.grad is None:
-            t.grad = np.zeros_like(t.data)
-        t.grad += g
+            # one write of zeros + g into a fresh array of t's shape and
+            # dtype: g may be shared with another input, and + 0.0 maps -0
+            # to +0 as the zero start would
+            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+        else:
+            t.grad += g
+
+
+def recording(inputs) -> bool:
+    """Whether an op on these inputs goes on the tape: ``custom_op`` keeps a
+    backward node for it, so its forward must save what that node reads."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
 
 
 def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
@@ -180,7 +203,7 @@ def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     install its straight-through rule; all built-in ops route through it
     too. Under ``no_grad`` the output is a plain leaf.
     """
-    out = Tensor(out_data, requires_grad=_grad_enabled and any(t.requires_grad for t in inputs))
+    out = Tensor(out_data, requires_grad=recording(inputs))
     if out.requires_grad:
         def _backward(g):
             for t, gi in zip(inputs, grad_fn(g)):
@@ -250,42 +273,61 @@ def _taps(kh, kw, stride, oh, ow):
                    slice(kj, kj + stride * (ow - 1) + 1, stride))
 
 
-def _conv2d_forward(x, w, b, stride, padding):
-    """NCHW conv as kh*kw accumulated GEMMs over shifted NHWC views.
+# Images per conv batch tile. A tile's padded input, tap copy and two GEMM
+# results take about 270 KB per image at the largest stage (16 x 32^2), so
+# a tile stays well inside a 2 MB L2 at every stage. Measured on one
+# AVX-512 core (OpenBLAS 0.3.31, batch 128, the six resnet conv shapes),
+# 3 images beat 2, 4, 6, 8 and 12.
+CONV_TILE = 3
 
-    Returns (out, xp): the NCHW output and the padded channels-last input
-    (N, H+2p, W+2p, C) that the weight gradient reads back.
+
+def _conv2d_forward(x, w, b, stride, padding, keep_padded):
+    """NCHW conv as kh*kw accumulated GEMMs over shifted NHWC views, one
+    batch tile of CONV_TILE images at a time.
+
+    Returns (out, xp): the NCHW output and the padded channels-last input,
+    all of it, (N, H+2p, W+2p, C), if keep_padded (the weight gradient
+    reads it back), else the one tile-sized buffer every tile went through.
     """
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(wd, kw, stride, padding)
-    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
-    xp[:, padding:padding + h, padding:padding + wd, :] = x.transpose(0, 2, 3, 1)
+    t = min(n, CONV_TILE)
+    xp = np.zeros((n if keep_padded else t, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, O)
-    tap = np.empty((n, oh, ow, c), dtype=x.dtype)
-    out = part = None
-    for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
-        np.copyto(tap, xp[:, rows, cols, :])
-        if out is None:
-            out = tap.reshape(-1, c) @ wt[ki, kj]
-        else:
-            part = np.matmul(tap.reshape(-1, c), wt[ki, kj], out=part)
-            out += part
-    if b is not None:
-        out += b
-    return np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2)), xp
+    tap = np.empty((t, oh, ow, c), dtype=x.dtype)
+    acc = np.empty((t * oh * ow, o), dtype=x.dtype)
+    part = np.empty_like(acc)
+    out = np.empty((n, o, oh, ow), dtype=x.dtype)
+    for i in range(0, n, t):
+        m = min(t, n - i)
+        r = m * oh * ow
+        xt = xp[i:i + m] if keep_padded else xp[:m]
+        xt[:, padding:padding + h, padding:padding + wd, :] = x[i:i + m].transpose(0, 2, 3, 1)
+        for j, (ki, kj, rows, cols) in enumerate(_taps(kh, kw, stride, oh, ow)):
+            np.copyto(tap[:m], xt[:, rows, cols, :])
+            np.matmul(tap[:m].reshape(r, c), wt[ki, kj], out=part[:r] if j else acc[:r])
+            if j:
+                acc[:r] += part[:r]
+        if b is not None:
+            acc[:r] += b
+        out[i:i + m] = acc[:r].reshape(m, oh, ow, o).transpose(0, 3, 1, 2)
+    return out, xp
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2d cross-correlation over NCHW input with an OIkk kernel.
 
-    The kernel works channels-last: the input is padded once into an NHWC
-    buffer, and each of the kh*kw taps adds one GEMM with K = C over a
-    strided view of it. The backward pass reuses the same views: the weight
-    gradient of a tap is ``gout.T @ view``, and the input gradient adds
-    ``gout @ W_tap`` into a padded NHWC buffer that is cropped at the end.
+    The kernel works channels-last, one batch tile of CONV_TILE images at
+    a time: the tile is padded into an NHWC buffer, each of the kh*kw taps
+    adds one GEMM with K = C over a strided view of it, and the tile's
+    result is written straight into the NCHW output. A conv whose weight
+    takes a gradient on the tape pads the whole batch instead, because the
+    weight gradient of a tap is one ``gout.T @ view`` over all N*OH*OW
+    rows. The input gradient adds ``gout @ W_tap`` into a padded NHWC
+    buffer that is cropped at the end.
     Activations and weights stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:
@@ -308,14 +350,14 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} does not fit {h}x{wd} input at padding {padding}")
 
-    out_data, xp = _conv2d_forward(x.data, weight.data,
-                                   bias.data if bias is not None else None, stride, padding)
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    # The padded input is only needed for the weight gradient; dropping it
-    # for frozen-weight convs keeps graft branches through the frozen model
-    # from retaining every activation buffer.
-    xp_shape = xp.shape
-    saved_xp = xp if weight.requires_grad else None
+    # The padded input is only needed for the weight gradient; frozen-weight
+    # convs and untaped ones keep none, so graft branches through the frozen
+    # model do not retain every activation buffer.
+    keep_padded = recording(inputs) and weight.requires_grad
+    out_data, xp = _conv2d_forward(x.data, weight.data, bias.data if bias is not None else None,
+                                   stride, padding, keep_padded)
+    saved_xp = xp if keep_padded else None
 
     def grad_fn(g):
         gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
@@ -331,7 +373,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gb = gout.sum(axis=0)
         if x.requires_grad:
             wk = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
-            gxp = np.zeros(xp_shape, dtype=g.dtype)
+            gxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=g.dtype)
             part = np.empty((n * oh * ow, c), dtype=g.dtype)
             for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
                 np.matmul(gout, wk[ki, kj], out=part)
@@ -376,11 +418,19 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
                          training, momentum, eps):
-    """Returns (out, xhat, inv_std). Mutates running stats in train mode."""
+    """Returns (out, xhat, inv_std). Mutates running stats in train mode.
+
+    The input is centred once: in train mode the variance is the mean of
+    the squares of that centred array, which are the steps ``np.var``
+    takes, and the centred array is then scaled into xhat in place.
+    """
+    axes = (0, 2, 3)
     if training:
         m = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        mean = x.mean(axis=axes)
+        xhat = x - mean[None, :, None, None]
+        out = np.square(xhat)
+        var = out.mean(axis=axes)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mean
         unbiased = var * (m / (m - 1)) if m > 1 else var
@@ -389,9 +439,12 @@ def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
     else:
         mean = running_mean.astype(x.dtype)
         var = running_var.astype(x.dtype)
+        xhat = x - mean[None, :, None, None]
+        out = np.empty_like(xhat)
     inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
-    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+    xhat *= inv[None, :, None, None]
+    np.multiply(gamma[None, :, None, None], xhat, out=out)
+    out += beta[None, :, None, None]
     return out, xhat, inv
 
 
@@ -420,20 +473,27 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
         x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, eps)
 
     def grad_fn(g):
+        # two activation-sized buffers: gx (dxhat, then the input gradient)
+        # and prod (g * xhat, dxhat * xhat, then xhat * their channel sums)
         axes = (0, 2, 3)
-        ggamma = (g * xhat).sum(axis=axes) if gamma.requires_grad else None
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
-        gx = None
+        ggamma = gx = prod = None
+        if gamma.requires_grad:
+            prod = np.multiply(g, xhat)
+            ggamma = prod.sum(axis=axes)
         if x.requires_grad:
-            dxhat = g * gamma.data[None, :, None, None]
+            gx = np.multiply(g, gamma.data[None, :, None, None])
             if training:
                 m = np.float32(x.shape[0] * x.shape[2] * x.shape[3])
-                gx = (inv[None, :, None, None] / m) * (
-                    m * dxhat
-                    - dxhat.sum(axis=axes)[None, :, None, None]
-                    - xhat * (dxhat * xhat).sum(axis=axes)[None, :, None, None])
+                prod = np.multiply(gx, xhat, out=prod)
+                s_dxhat, s_prod = gx.sum(axis=axes), prod.sum(axis=axes)
+                gx *= m
+                gx -= s_dxhat[None, :, None, None]
+                np.multiply(xhat, s_prod[None, :, None, None], out=prod)
+                gx -= prod
+                gx *= inv[None, :, None, None] / m
             else:
-                gx = dxhat * inv[None, :, None, None]
+                gx *= inv[None, :, None, None]
         return gx, ggamma, gbeta
 
     return custom_op("batchnorm2d", out_data, (x, gamma, beta), grad_fn)

@@ -3,11 +3,13 @@
 SGD with momentum: buf <- m*buf + (grad + wd*param); param <- param - lr*buf.
 Weight decay is never applied to batchnorm parameters or quantizer scales,
 and scales are re-clamped positive after every step. The schedule divides
-the base learning rate by a fixed factor at each passed milestone.
+the base learning rate by a fixed factor at each passed milestone. The
+epoch loop stops at the first non-finite loss or quantizer scale.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +19,10 @@ from bwrf.data import Split, iter_batches
 from bwrf.graft import LossWeights, train_step
 from bwrf.quantizer import SCALE_FLOOR
 from bwrf.tensor import Tensor
+
+
+class NumericsError(ArithmeticError):
+    """Training produced a non-finite loss or quantizer scale."""
 
 
 class SGD:
@@ -213,9 +219,15 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
 
 def _train(model, fp, train_split: Split, cfg, w: LossWeights, epoch_row, on_epoch) -> list:
     """Run cfg.epochs of train_step over the shuffled split; each epoch's row is
-    epoch, lr, then epoch_row(epoch, per-step metric lists)."""
+    epoch, lr, then epoch_row(epoch, per-step metric lists).
+
+    After every step the loss and each quantizer scale (after its SGD update)
+    must be finite, else NumericsError names the epoch, the step and the
+    tensor, before that epoch's row exists or ``on_epoch`` can save it.
+    """
     opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, scale_lr_mult=cfg.scale_lr_mult)
+    scales = [(name, p) for name, p, _ in opt.groups if name.endswith(".scale")]
     schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
     rng = np.random.default_rng(cfg.seed)
     rows = []
@@ -223,8 +235,14 @@ def _train(model, fp, train_split: Split, cfg, w: LossWeights, epoch_row, on_epo
         opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
         model.train()
         sums = {"loss_total": [], "loss_target": [], "loss_distill": [], "train_acc_Q": []}
-        for batch in iter_batches(train_split, cfg.batch_size, rng, augment=cfg.augment):
+        batches = iter_batches(train_split, cfg.batch_size, rng, augment=cfg.augment)
+        for step, batch in enumerate(batches, start=1):
             metrics = train_step(model, fp, batch, w, opt)
+            values = [("loss_total", metrics["loss_total"])]
+            values += [(name, p.item()) for name, p in scales]
+            for name, value in values:
+                if not math.isfinite(value):
+                    raise NumericsError(f"{name} is {value} at epoch {epoch}, step {step}")
             for key in sums:
                 sums[key].append(metrics[key])
         row = {"epoch": epoch, "lr": opt.lr, **epoch_row(epoch, sums)}

@@ -485,3 +485,127 @@ def train_fp_plain_ce(model, train_split, test_split, cfg, on_epoch=None):
         if on_epoch:
             on_epoch(row, model)
     return rows
+
+
+# -- the kernels before they were tiled and trimmed, kept verbatim ----------------
+#
+# Each function below is the numpy body of a tensor/quantizer kernel as it
+# stood with one pass over the whole batch per tap and no in-place reuse:
+# the forward helper as it was, and the backward closure's body as a
+# function of the upstream gradient. Tests require the current kernels to
+# reproduce these outputs and gradients byte for byte.
+
+
+def _taps_one_pass(kh, kw, stride, oh, ow):
+    for ki in range(kh):
+        for kj in range(kw):
+            yield (ki, kj, slice(ki, ki + stride * (oh - 1) + 1, stride),
+                   slice(kj, kj + stride * (ow - 1) + 1, stride))
+
+
+def conv2d_one_pass(x, w, b, stride, padding, g):
+    """(out, gx, gw, gb) of the shifted-GEMM conv over the whole batch."""
+    n, c, h, wd = x.shape
+    o, _, kh, kw = w.shape
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + wd, :] = x.transpose(0, 2, 3, 1)
+    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, O)
+    tap = np.empty((n, oh, ow, c), dtype=x.dtype)
+    out = part = None
+    for ki, kj, rows, cols in _taps_one_pass(kh, kw, stride, oh, ow):
+        np.copyto(tap, xp[:, rows, cols, :])
+        if out is None:
+            out = tap.reshape(-1, c) @ wt[ki, kj]
+        else:
+            part = np.matmul(tap.reshape(-1, c), wt[ki, kj], out=part)
+            out += part
+    if b is not None:
+        out += b
+    out = np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
+
+    gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
+    gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
+    tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
+    for ki, kj, rows, cols in _taps_one_pass(kh, kw, stride, oh, ow):
+        np.copyto(tap, xp[:, rows, cols, :])
+        np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
+    gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
+    gb = gout.sum(axis=0) if b is not None else None
+    wk = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
+    gxp = np.zeros(xp.shape, dtype=g.dtype)
+    part = np.empty((n * oh * ow, c), dtype=g.dtype)
+    for ki, kj, rows, cols in _taps_one_pass(kh, kw, stride, oh, ow):
+        np.matmul(gout, wk[ki, kj], out=part)
+        gxp[:, rows, cols, :] += part.reshape(n, oh, ow, c)
+    gx = np.ascontiguousarray(
+        gxp[:, padding:padding + h, padding:padding + wd, :].transpose(0, 3, 1, 2))
+    return out, gx, gw, gb
+
+
+def _round_half_away_copies(x):
+    t = np.trunc(x)
+    f = x - t
+    return t + (f >= 0.5).astype(x.dtype) - (f <= -0.5).astype(x.dtype)
+
+
+def quantize_keep_vs(v, s, qmin, qmax, grad_scale_enabled, g):
+    """(out, gv, gs) of LSQ fake quantization with vs and rc kept for the backward."""
+    s32 = np.float32(s)
+    vs = v / s32
+    rc = _round_half_away_copies(np.clip(vs, qmin, qmax))
+    out_data = rc * s32
+    qmin32, qmax32 = np.float32(qmin), np.float32(qmax)
+    factor = (np.float32(1.0 / math.sqrt(vs.size * qmax))
+              if grad_scale_enabled else None)
+
+    gv = g * ((qmin < vs) & (vs < qmax))
+    term = np.where(vs <= qmin, qmin32, np.where(vs >= qmax, qmax32, rc - vs))
+    gs = (g * term).sum(dtype=np.float32)
+    if factor is not None:
+        gs = gs * factor
+    return out_data, gv, np.full((1,), gs, dtype=np.float32)
+
+
+def batchnorm_np_var(x, gamma, beta, running_mean, running_var, training, g,
+                      momentum=0.1, eps=1e-5):
+    """(out, gx, ggamma, gbeta) of batchnorm2d with np.mean/np.var and fresh
+    temporaries; mutates the running buffers in train mode."""
+    if training:
+        m = x.shape[0] * x.shape[2] * x.shape[3]
+        mean = x.mean(axis=(0, 2, 3))
+        var = x.var(axis=(0, 2, 3))
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        mean = running_mean.astype(x.dtype)
+        var = running_var.astype(x.dtype)
+    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
+    xhat = (x - mean[None, :, None, None]) * inv[None, :, None, None]
+    out = gamma[None, :, None, None] * xhat + beta[None, :, None, None]
+
+    axes = (0, 2, 3)
+    ggamma = (g * xhat).sum(axis=axes)
+    gbeta = g.sum(axis=axes)
+    dxhat = g * gamma[None, :, None, None]
+    if training:
+        m = np.float32(x.shape[0] * x.shape[2] * x.shape[3])
+        gx = (inv[None, :, None, None] / m) * (
+            m * dxhat
+            - dxhat.sum(axis=axes)[None, :, None, None]
+            - xhat * (dxhat * xhat).sum(axis=axes)[None, :, None, None])
+    else:
+        gx = dxhat * inv[None, :, None, None]
+    return out, gx, ggamma, gbeta
+
+
+def accumulate_zero_fill(t, g):
+    """tensor._accumulate as it was: a first arrival is zero-filled, then added."""
+    if t.requires_grad:
+        if t.grad is None:
+            t.grad = np.zeros_like(t.data)
+        t.grad += g

@@ -220,6 +220,44 @@ fp_checkpoint = {tmp_path}/missing.ckpt
     assert "checkpoint error" in capsys.readouterr().err
 
 
+
+def test_exit_code_5_on_a_nan_loss_keeps_the_earlier_best_checkpoint(tmp_path, idx_dir,
+                                                                    monkeypatch, capsys):
+    from bwrf import training
+
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"""
+arch = resnet8
+data_format = idx
+data_dir = {idx_dir}
+epochs = 3
+milestones =
+lr = 0.05
+batch_size = 64
+eval_batch_size = 64
+seed = 4
+augment = false
+output_dir = {tmp_path}/fp
+""")
+    ckpt = tmp_path / "fp" / "fp.ckpt"
+    train_step, calls, before = training.train_step, [], []
+
+    def nan_at_epoch_2_step_2(model, fp, batch, w, opt):
+        calls.append(1)
+        if len(calls) == 3 + 2:  # 192 images at batch 64: three steps per epoch
+            before.append(ckpt.read_bytes())  # epoch 1's best checkpoint
+            images = batch[0].copy()
+            images[0, 0, 0, 0] = np.nan
+            batch = (images, batch[1])
+        return train_step(model, fp, batch, w, opt)
+
+    monkeypatch.setattr(training, "train_step", nan_at_epoch_2_step_2)
+    assert entry(["train-fp", "--config", str(cfg)]) == 5
+    assert "numerics error: loss_total is nan at epoch 2, step 2" in capsys.readouterr().err
+    assert len(calls) == 5, "training went on after the non-finite loss"
+    assert ckpt.read_bytes() == before[0]
+    assert not (tmp_path / "fp" / "train_log.csv").exists()
+
 def test_eval_branch_q_checks_bit_width(fp_run, capsys):
     cfg_path, _, ckpt = fp_run
     code = entry(["eval", "--config", cfg_path, "--set", f"checkpoint={ckpt}",

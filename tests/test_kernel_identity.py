@@ -1,0 +1,180 @@
+"""The batch-tiled conv2d, the quantizer that keeps only a mask and a term,
+the batchnorm that centres once and the single-write gradient accumulation
+must reproduce the kernels they replaced byte for byte: outputs, every
+gradient and the signs of zeros. The replaced kernels are kept verbatim in
+tests/oracles.py."""
+
+import numpy as np
+import pytest
+
+import oracles
+from bwrf import tensor as T
+from bwrf.quantizer import Quantizer, quantize_forward
+from bwrf.tensor import Tensor
+
+
+def assert_same_bytes(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    assert got.tobytes() == want.tobytes(), f"{what} differs in {np.sum(got != want)} elements"
+
+
+def first_arrival(param, g):
+    """What the old accumulation stored for a first gradient g into param."""
+    t = Tensor(param.data, requires_grad=True)
+    oracles.accumulate_zero_fill(t, g)
+    return t.grad
+
+
+# -- conv2d --------------------------------------------------------------------------
+
+# (in channels, out channels, kernel, stride, padding): the network's geometries
+CONV_GEOMETRIES = {
+    "k3s1p1": (16, 16, 3, 1, 1),
+    "k3s2p1": (16, 32, 3, 2, 1),
+    "k1s2p0": (16, 32, 1, 2, 0),
+    "stem": (3, 16, 3, 1, 1),
+}
+# around and across the batch tile boundaries
+TILE_BATCHES = (1, T.CONV_TILE - 1, T.CONV_TILE + 1, 2 * T.CONV_TILE + 3)
+
+
+def check_conv(n, c, o, k, s, p, extent, bias, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, c, extent, extent)).astype(np.float32)
+    w = (rng.standard_normal((o, c, k, k)) * 0.2).astype(np.float32)
+    b = rng.standard_normal(o).astype(np.float32) if bias else None
+    oh = (extent + 2 * p - k) // s + 1
+    g = rng.standard_normal((n, o, oh, oh)).astype(np.float32)
+    ref_out, ref_gx, ref_gw, ref_gb = oracles.conv2d_one_pass(x, w, b, s, p, g)
+    xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+    bt = Tensor(b, requires_grad=True) if bias else None
+    out = T.conv2d(xt, wt, bt, stride=s, padding=p)
+    out._grad_fn(g)
+    assert_same_bytes(out.data, ref_out, "out")
+    assert_same_bytes(xt.grad, first_arrival(xt, ref_gx), "gx")
+    assert_same_bytes(wt.grad, first_arrival(wt, ref_gw), "gw")
+    if bias:
+        assert_same_bytes(bt.grad, first_arrival(bt, ref_gb), "gb")
+
+    # frozen weight and untaped: the tile-sized padded buffer, same output
+    frozen = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), bt, stride=s, padding=p)
+    assert_same_bytes(frozen.data, ref_out, "frozen-weight out")
+    with T.no_grad():
+        assert_same_bytes(T.conv2d(xt, wt, bt, stride=s, padding=p).data, ref_out, "no_grad out")
+
+
+@pytest.mark.parametrize("n", TILE_BATCHES)
+@pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
+def test_conv2d_matches_the_one_pass_kernel(geometry, n):
+    c, o, k, s, p = CONV_GEOMETRIES[geometry]
+    check_conv(n, c, o, k, s, p, extent=8, bias=False, seed=n)
+    check_conv(n, c, o, k, s, p, extent=8, bias=True, seed=n + 100)
+
+
+@pytest.mark.parametrize("channels,extent", [(16, 32), (32, 16), (64, 8)])
+def test_conv2d_matches_the_one_pass_kernel_at_stage_shapes(channels, extent):
+    check_conv(2 * T.CONV_TILE + 3, channels, channels, 3, 1, 1, extent, bias=False, seed=channels)
+
+
+# -- quantizer -----------------------------------------------------------------------
+
+
+def quantizer_inputs(q, s, rng):
+    """v/s exactly on +-0.5 and +-1.5 ties, on and beyond qmin and qmax, zeros
+    of both signs, and random values spread over and past the range."""
+    special = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.0, -0.0, q.qmin, q.qmax, q.qmin - 0.5,
+               q.qmax + 0.5, q.qmin - 3, q.qmax + 3, q.qmin + 0.5, q.qmax - 0.5]
+    spread = rng.uniform(q.qmin - 2, q.qmax + 2, 240 - len(special))
+    return (np.array(special + list(spread)) * s).astype(np.float32).reshape(4, 3, 4, 5)
+
+
+@pytest.mark.parametrize("grad_scale", [True, False], ids=["grad_scale", "no_grad_scale"])
+@pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
+def test_quantize_matches_the_kernel_that_kept_vs_and_rc(signed, grad_scale):
+    rng = np.random.default_rng(3)
+    q = Quantizer(4, signed, grad_scale_enabled=grad_scale)
+    s = 0.25  # a power of two: v/s is exact, so the ties are exact
+    q.set_scale(s)
+    v = quantizer_inputs(q, s, rng)
+    g = rng.standard_normal(v.shape).astype(np.float32)
+    ref_out, ref_gv, ref_gs = oracles.quantize_keep_vs(v, s, q.qmin, q.qmax, grad_scale, g)
+    assert np.any(np.signbit(ref_gv) & (ref_gv == 0)), "inputs must give -0 input gradients"
+
+    vt = Tensor(v, requires_grad=True)
+    out = quantize_forward(vt, q)
+    out._grad_fn(g)
+    assert_same_bytes(out.data, ref_out, "out")
+    assert_same_bytes(vt.grad, first_arrival(vt, ref_gv), "gv")
+    assert_same_bytes(q.scale.grad, first_arrival(q.scale, ref_gs), "gs")
+
+    # an input that takes no gradient (the images) still trains the scale
+    q.scale.grad = None
+    out = quantize_forward(Tensor(v), q)
+    out._grad_fn(g)
+    assert_same_bytes(out.data, ref_out, "out without input gradient")
+    assert_same_bytes(q.scale.grad, first_arrival(q.scale, ref_gs), "gs")
+    with T.no_grad():
+        assert_same_bytes(quantize_forward(vt, q).data, ref_out, "no_grad out")
+
+
+# -- batchnorm -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("shape", [(4, 3, 5, 6), (4, 64, 5, 6), (2 * T.CONV_TILE + 3, 16, 32, 32)],
+                         ids=["small", "wide", "stage"])
+@pytest.mark.parametrize("training", [True, False], ids=["train", "eval"])
+def test_batchnorm_matches_the_np_var_kernel(training, shape):
+    rng = np.random.default_rng(5)
+    c = shape[1]
+    x = (rng.standard_normal(shape) * 2 + 0.7).astype(np.float32)
+    gamma = rng.uniform(0.5, 1.5, c).astype(np.float32)
+    beta = rng.standard_normal(c).astype(np.float32)
+    rm, rv = rng.standard_normal(c).astype(np.float32), rng.uniform(0.5, 2, c).astype(np.float32)
+    g = rng.standard_normal(shape).astype(np.float32)
+    ref_rm, ref_rv = rm.copy(), rv.copy()
+    ref_out, ref_gx, ref_gg, ref_gb = oracles.batchnorm_np_var(
+        x, gamma, beta, ref_rm, ref_rv, training, g)
+
+    xt = Tensor(x, requires_grad=True)
+    gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
+    out = T.batchnorm2d(xt, gt, bt, rm, rv, training)
+    out._grad_fn(g)
+    assert_same_bytes(out.data, ref_out, "out")
+    assert_same_bytes(xt.grad, first_arrival(xt, ref_gx), "gx")
+    assert_same_bytes(gt.grad, first_arrival(gt, ref_gg), "ggamma")
+    assert_same_bytes(bt.grad, first_arrival(bt, ref_gb), "gbeta")
+    assert_same_bytes(rm, ref_rm, "running mean")
+    assert_same_bytes(rv, ref_rv, "running var")
+
+
+# -- gradient accumulation -----------------------------------------------------------
+
+
+# (parameter, first and second arrival): a vector, a 0-d loss node given
+# numpy scalars, a float64 arrival cast to float32, a broadcast row
+ACCUMULATE_CASES = {
+    "vector": (np.ones(4, np.float32), np.array([-0.0, 0.0, -1.5, 2.0], np.float32),
+               np.array([0.0, -0.0, 1.5, 0.25], np.float32)),
+    "0-d": (np.float32(1.0), np.float32(-0.0), np.float32(-0.0)),
+    "float64": (np.ones(3, np.float32), np.array([-0.0, 1e-40, 1 / 3]),
+                np.array([0.1, -0.0, 2 / 3])),
+    "broadcast": (np.ones((2, 3), np.float32), np.array([[-0.0, 1.0, -2.5]], np.float32),
+                  np.array([[0.5], [-0.0]], np.float32)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACCUMULATE_CASES))
+def test_a_negative_zero_first_gradient_accumulates_as_positive_zero(case):
+    data, g1, g2 = ACCUMULATE_CASES[case]
+    t, want = Tensor(data, requires_grad=True), Tensor(data, requires_grad=True)
+    upstream = np.array(g1, copy=True)
+    T._accumulate(t, g1)
+    oracles.accumulate_zero_fill(want, g1)
+    assert type(t.grad) is np.ndarray
+    assert_same_bytes(t.grad, want.grad, "first arrival")
+    assert not np.signbit(t.grad[t.grad == 0]).any()
+    assert not np.shares_memory(t.grad, g1)
+    T._accumulate(t, g2)
+    oracles.accumulate_zero_fill(want, g2)
+    assert_same_bytes(t.grad, want.grad, "second arrival")
+    assert_same_bytes(np.asarray(g1), upstream, "upstream array")

@@ -296,3 +296,58 @@ def test_high_bit_quantizer_approaches_identity():
     got = layer(x)
     want = T.linear(x, wt)
     np.testing.assert_allclose(got.data, want.data, atol=1e-3)
+
+
+# -- saved state ---------------------------------------------------------------------
+
+
+def backward_arrays(node):
+    """The numpy arrays the backward rule behind a custom_op node holds."""
+    wrapped = next(c.cell_contents for c in node._grad_fn.__closure__
+                   if callable(c.cell_contents))
+    return [c.cell_contents for c in wrapped.__closure__
+            if isinstance(c.cell_contents, np.ndarray)]
+
+
+def retained_bytes(fn):
+    """(result, bytes still allocated once fn has returned) under tracemalloc."""
+    import gc
+    import tracemalloc
+
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        gc.collect()
+        return out, tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_taped_quantize_keeps_only_a_bool_mask_and_a_term_array():
+    import weakref
+
+    q = make_q(bits=4, signed=False, scale=0.1)
+    v = Tensor(np.random.default_rng(0).uniform(-1, 3, (8, 4, 32, 32)).astype(np.float32),
+               requires_grad=True)
+    out, kept = retained_bytes(lambda: quantize_forward(v, q))
+    saved = backward_arrays(out)
+    assert sorted((a.dtype.name, a.shape) for a in saved) == [
+        ("bool", v.shape), ("float32", v.shape)]
+    # the node, its closure and the cells take a few KB; any activation-sized
+    # float array beyond the term would take 128 KB
+    assert kept - out.data.nbytes - v.size * 5 < 16384, "more than the mask and the term kept"
+    refs = [weakref.ref(a) for a in saved]
+    del out, saved
+    assert all(r() is None for r in refs), "the saved arrays outlive the node"
+
+
+def test_untaped_quantize_keeps_nothing():
+    q = make_q(bits=4, signed=False, scale=0.1)
+    v = Tensor(np.random.default_rng(0).uniform(-1, 3, (8, 4, 32, 32)).astype(np.float32),
+               requires_grad=True)
+    with T.no_grad():
+        out, kept = retained_bytes(lambda: quantize_forward(v, q))
+    assert out._grad_fn is None
+    assert kept - out.data.nbytes < 16384, f"{kept - out.data.nbytes} bytes kept beyond the output"

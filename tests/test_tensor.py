@@ -88,6 +88,41 @@ def test_conv_frozen_weight_drops_padded_input(monkeypatch):
     assert padded[2]() is None, "conv under no_grad keeps its padded input alive"
 
 
+def test_conv_backward_keeps_no_buffer_alive(monkeypatch):
+    """The input gradient runs through a padded buffer and the weight
+    gradient through a tap copy; none of them may outlive the backward,
+    only the two gradients it stores."""
+    made = []
+
+    class SpyNumpy:
+        """numpy, recording every buffer its allocators hand out."""
+
+        def __getattr__(self, name):
+            fn = getattr(np, name)
+            if name not in ("empty", "zeros", "empty_like", "zeros_like"):
+                return fn
+
+            def allocate(*args, **kwargs):
+                arr = fn(*args, **kwargs)
+                made.append(weakref.ref(arr))
+                return arr
+
+            return allocate
+
+    x = Tensor(np.ones((2 * T.CONV_TILE + 1, 3, 6, 6), np.float32), requires_grad=True)
+    w = Tensor(np.ones((4, 3, 3, 3), np.float32), requires_grad=True)
+    out = T.conv2d(x, w, padding=1)
+    monkeypatch.setattr(T, "np", SpyNumpy())
+    out._grad_fn(np.ones(out.shape, np.float32))
+    monkeypatch.undo()
+    gc.collect()
+    assert x.grad is not None and w.grad is not None
+    assert len(made) >= 4, "the spy saw no backward buffer"
+    alive = [r() for r in made if r() is not None]
+    assert all(a is x.grad or a is w.grad for a in alive), \
+        "a conv backward buffer outlives the backward"
+
+
 def test_no_grad_restores_the_tape_after_an_exception():
     w = Tensor(np.ones(3, np.float32), requires_grad=True)
     with pytest.raises(RuntimeError, match="inside"):

@@ -12,7 +12,7 @@ from bwrf.data import Split
 from bwrf.graft import LossWeights, graft_forward
 from bwrf.network import BlockModel, BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
-from bwrf.training import (SGD, Schedule, _cos_rows, cosine_similarities,
+from bwrf.training import (SGD, NumericsError, Schedule, _cos_rows, cosine_similarities,
                            evaluate, evaluate_branches, lr_at, teacher_pass,
                            train_bwrf, train_fp)
 
@@ -378,3 +378,22 @@ def test_train_bwrf_runs_the_teacher_once_and_walks_the_test_split_once_per_epoc
     batches = math.ceil(n_test / cfg.eval_batch_size)
     assert calls == {"fp": batches, "lp": cfg.epochs * batches}
     assert all("cos_g2" in row for row in rows)
+
+
+def test_a_non_finite_quantizer_scale_stops_training_at_its_step(monkeypatch):
+    lp, fp = make_pair()
+    name, scale = [(n, p) for n, p, _ in lp.param_groups() if n.endswith(".scale")][5]
+    sgd_step = SGD.step
+
+    def step_then_overflow(self):
+        sgd_step(self)
+        if self.steps == 3:  # 32 images at batch 16: epoch 2, step 1
+            scale.data[...] = np.inf
+
+    monkeypatch.setattr(SGD, "step", step_then_overflow)
+    saved = []
+    with pytest.raises(NumericsError) as err:
+        train_bwrf(lp, fp, random_split(32), random_split(16, seed=1), tiny_cfg(epochs=3),
+                   LossWeights(), on_epoch=lambda row, model: saved.append(row["epoch"]))
+    assert str(err.value) == f"{name} is inf at epoch 2, step 1"
+    assert saved == [1]
