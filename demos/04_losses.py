@@ -27,7 +27,7 @@ def main():
     y_q = logits_like(rng, 0.0)      # quantized output, the student
     y_m = [logits_like(rng, 0.1), logits_like(rng, 0.2)]  # graft branches
     y_f = logits_like(rng, 0.3)      # frozen teacher
-    g = GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f, lp_features=[])
+    g = GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f)
 
     print("== the target term stacks branch cross-entropies ==")
     w = LossWeights(alpha=(1.0, 1.0))

@@ -9,7 +9,7 @@ Subcommands:
     train-baseline       the same loop with every graft/distill term off,
                          i.e. plain quantization-aware training
     eval                 top-1/top-5 of one branch (Q, F, or M<k>) on the
-                         test split
+                         test split; M<k> reads the shared-prefix walk
     analyze-similarity   cosine alignment between LP and FP features
 
 Every command takes --config FILE plus repeatable --set key=value
@@ -30,10 +30,10 @@ import sys
 from bwrf.checkpoint import CheckpointError, load_into_model, save_model
 from bwrf.config import ConfigError, RunConfig, block_spec, load_config, resolved_text
 from bwrf.data import DataError, load_cifar10, load_idx_dir, subset
-from bwrf.graft import LossWeights, graft_forward
+from bwrf.graft import LossWeights
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
-from bwrf.training import (NumericsError, cosine_similarities, evaluate, train_bwrf,
-                            train_fp)
+from bwrf.training import (NumericsError, cosine_similarities, evaluate_branches,
+                            model_pass, train_bwrf, train_fp)
 
 FP_COLUMNS = ("epoch", "lr", "loss", "train_acc", "test_acc")
 
@@ -160,15 +160,16 @@ def cmd_eval(args) -> int:
     if branch not in ("Q", "F") and not cfg.fp_checkpoint:
         raise ConfigError(f"branch {branch} needs fp_checkpoint as well")
     if branch == "F":
-        forward = load_frozen_fp(cfg, spec, cfg.checkpoint)
+        model = load_frozen_fp(cfg, spec, cfg.checkpoint)
     else:
-        forward = lp = build_lp(cfg, spec)
-        load_into_model(cfg.checkpoint, lp, cfg.arch)
-        lp.eval()
+        model = build_lp(cfg, spec)
+        load_into_model(cfg.checkpoint, model, cfg.arch)
     if branch.startswith("M"):
         fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
-        forward = lambda x: graft_forward(lp.forward_collect(x)[0], fp, int(branch[1:]))
-    top1, top5 = evaluate(forward, test, cfg.eval_batch_size)
+        scores = evaluate_branches(model, fp, test, cfg.eval_batch_size, ((None, None), []))
+        top1, top5 = scores[f"acc_{branch}"], scores[f"top5_{branch}"]
+    else:
+        (top1, top5), _ = model_pass(model, test, cfg.eval_batch_size)
     print(f"branch={branch} top1={top1:.4f} top5={top5:.4f} n={len(test)}")
     return 0
 

@@ -141,6 +141,8 @@ def load_idx(images_path: str, labels_path: str, mean, std) -> Split:
     labels = _read_idx(labels_path, IDX_LABELS_MAGIC, 1).astype(np.int64)
     if len(imgs) != len(labels):
         raise DataError(f"{len(imgs)} images vs {len(labels)} labels")
+    if len(labels) == 0:
+        raise DataError(f"{images_path}: no records")
     chw = np.repeat(imgs[:, None, :, :], 3, axis=1).astype(np.float32) / 255.0
     return Split(normalize(chw, mean, std), labels)
 

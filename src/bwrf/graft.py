@@ -15,7 +15,7 @@ would let students drag their own targets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,7 +85,6 @@ class GraftOutput:
     y_q: Tensor
     y_m: list
     y_f: Tensor | None
-    lp_features: list = field(default_factory=list)
 
 
 def graft_forward(lp_features: list, fp_model, k: int) -> Tensor:
@@ -110,7 +109,7 @@ def bwrf_forward(lp, fp, x: Tensor, w: LossWeights) -> GraftOutput:
     if w.needs_grafts():
         for k in w.branches(n):
             y_m[k - 1] = graft_forward(lp_features, fp, k)
-    return GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f, lp_features=lp_features)
+    return GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f)
 
 
 def loss_target(y_q: Tensor, y_m: list, labels: np.ndarray, w: LossWeights) -> Tensor:
@@ -225,15 +224,9 @@ def train_step(lp, fp, batch, w: LossWeights, optimizer) -> dict:
     loss, lt, ld = total_loss(g, labels, w)
     loss.backward()
     optimizer.step()
-    metrics = {
+    return {
         "loss_total": loss.item(),
         "loss_target": lt.item(),
         "loss_distill": ld.item(),
         "train_acc_Q": top1_percent(g.y_q, labels),
     }
-    for k, y in enumerate(g.y_m, start=1):
-        if y is not None:
-            metrics[f"train_acc_M{k}"] = top1_percent(y, labels)
-    if g.y_f is not None:
-        metrics["train_acc_F"] = top1_percent(g.y_f, labels)
-    return metrics

@@ -5,6 +5,8 @@ Weight decay is never applied to batchnorm parameters or quantizer scales,
 and scales are re-clamped positive after every step. The schedule divides
 the base learning rate by a fixed factor at each passed milestone. The
 epoch loop stops at the first non-finite loss or quantizer scale.
+Evaluation is two tape-free walks with one top-1/top-5 rule: ``model_pass``
+scores one model, ``evaluate_branches`` Q and every graft M_k off one LP pass.
 """
 
 from __future__ import annotations
@@ -86,74 +88,73 @@ def lr_at(epoch: int, schedule: Schedule, base_lr: float) -> float:
 # -- evaluation --------------------------------------------------------------------
 
 
-def evaluate(forward, split: Split, batch_size: int = 256) -> tuple:
-    """(top1, top5) percentages of a logits function over a split, in order."""
+def _hits(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """(top-1, top-5) hit counts of one batch, as Python ints."""
+    k = min(5, logits.shape[1])
+    top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
+    return (int((logits.argmax(axis=1) == labels).sum()),
+            int((top == labels[:, None]).any(axis=1).sum()))
+
+
+def model_pass(model, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
+    """((top-1, top-5) percentages of one model, per leading batch its block
+    features of the rows among the first n_rows images), from one tape-free
+    eval-mode walk of the split in order."""
     if len(split) == 0:
         raise ValueError("cannot evaluate on an empty split")
+    model.eval()
     hit1 = hit5 = 0
+    leading = []
     with T.no_grad():
         for images, labels in iter_batches(split, batch_size):
-            logits = forward(Tensor(images)).data
-            k = min(5, logits.shape[1])
-            top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-            hit1 += int((logits.argmax(axis=1) == labels).sum())
-            hit5 += int((top == labels[:, None]).any(axis=1).sum())
+            features, logits = model.forward_collect(Tensor(images))
+            if len(leading) * batch_size < n_rows:
+                leading.append([f.data[:n_rows - len(leading) * batch_size] for f in features])
+            h1, h5 = _hits(logits.data, labels)
+            hit1, hit5 = hit1 + h1, hit5 + h5
     n = len(split)
-    return 100.0 * hit1 / n, 100.0 * hit5 / n
-
-
-def teacher_pass(fp, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
-    """(top-1 of F, per leading batch the FP block features of its rows among
-    the first n_rows images), from one tape-free walk of the split."""
-    leading = []
-
-    def forward(x):
-        features, logits = fp.forward_collect(x)
-        if len(leading) * batch_size < n_rows:
-            leading.append([f.data[:n_rows - len(leading) * batch_size] for f in features])
-        return logits
-
-    fp.eval()
-    return evaluate(forward, split, batch_size)[0], leading
+    return (100.0 * hit1 / n, 100.0 * hit5 / n), leading
 
 
 def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> dict:
-    """acc_Q, every acc_M{k} and acc_F from one tape-free shared-prefix pass.
+    """acc_* and top5_* of Q, every M{k} and F from one tape-free shared-prefix pass.
 
     Per batch the LP forward and each graft's first frozen block
     h_k = F_{k+1}(x^Q_k) run once; the rest of the FP suffix on h_k gives M_k.
-    ``teacher`` is ``teacher_pass`` over the same split and batch size; the
+    ``teacher`` is ``model_pass(fp, ...)`` over the same split and batch size,
+    or ((None, None), []) when F's scores and the cosines are not wanted; the
     rows its features cover add the per-sample means
     cos_b{i} = cos(x^Q_i, x^F_i) and cos_g{k} = cos(h_k, x^F_{k+1}). Eval-mode
     block features of a row do not depend on its batch-mates, so row slices
     of the eval batches give the cos_* of batching those rows on their own.
     """
-    acc_f, leading = teacher
+    (acc_f, top5_f), leading = teacher
     lp.eval()
     hits, cos = {}, {}
     with T.no_grad():
         for j, (images, labels) in enumerate(iter_batches(split, batch_size)):
             f_lp, y_q = lp.forward_collect(Tensor(images))
             grafts = [fp.blocks[k](f_lp[k - 1], False) for k in range(1, lp.n_blocks)]
-            branches = [("acc_Q", y_q)] + [(f"acc_M{k}", fp.forward_from_block(h, k + 1))
-                                           for k, h in enumerate(grafts, start=1)]
-            for key, logits in branches:
-                hits[key] = hits.get(key, 0) + int((logits.data.argmax(axis=1) == labels).sum())
+            branches = [("Q", y_q)] + [(f"M{k}", fp.forward_from_block(h, k + 1))
+                                       for k, h in enumerate(grafts, start=1)]
+            for name, logits in branches:
+                for key, h in zip((f"acc_{name}", f"top5_{name}"), _hits(logits.data, labels)):
+                    hits[key] = hits.get(key, 0) + h
             if j < len(leading):
                 pairs = [(f"cos_b{i}", f, leading[j][i - 1]) for i, f in enumerate(f_lp, 1)]
                 pairs += [(f"cos_g{k}", h, leading[j][k]) for k, h in enumerate(grafts, 1)]
                 for key, f, ref in pairs:
                     cos[key] = cos.get(key, 0.0) + _cos_rows(f.data[:len(ref)], ref) * len(ref)
     n_rows = sum(len(batch[0]) for batch in leading)
-    return {**{key: 100.0 * h / len(split) for key, h in hits.items()}, "acc_F": acc_f,
-            **{key: v / n_rows for key, v in cos.items()}}
+    return {**{key: 100.0 * h / len(split) for key, h in hits.items()},
+            "acc_F": acc_f, "top5_F": top5_f, **{key: v / n_rows for key, v in cos.items()}}
 
 
 def cosine_similarities(lp, fp, split: Split, n_samples: int = 1024,
                         batch_size: int = 256) -> dict:
     """The cos_* keys of ``evaluate_branches`` over the first n_samples images."""
     sub = Split(split.images[:n_samples], split.labels[:n_samples])
-    out = evaluate_branches(lp, fp, sub, batch_size, teacher_pass(fp, sub, batch_size, len(sub)))
+    out = evaluate_branches(lp, fp, sub, batch_size, model_pass(fp, sub, batch_size, len(sub)))
     return {key: v for key, v in out.items() if key.startswith("cos_")}
 
 
@@ -182,10 +183,9 @@ def train_fp(model, train_split: Split, test_split: Split, cfg, on_epoch=None) -
     caller follows best test accuracy for checkpoint selection.
     """
     def epoch_row(epoch, sums):
-        model.eval()
         return {"loss": float(np.mean(sums["loss_total"])),
                 "train_acc": float(np.mean(sums["train_acc_Q"])),
-                "test_acc": evaluate(model, test_split, cfg.eval_batch_size)[0]}
+                "test_acc": model_pass(model, test_split, cfg.eval_batch_size)[0][0]}
 
     return _train(model, None, train_split, cfg, PLAIN_CE, epoch_row, on_epoch)
 
@@ -194,17 +194,17 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
                on_epoch=None) -> list:
     """The grafted training loop (also the baseline when all toggles are off).
 
-    Emits one row per epoch with train losses, per-branch test accuracies,
-    and optional cosine metrics. The frozen FP model is audited by checksum
-    every epoch, and any drift raises; that audit is what lets its test-set
-    accuracy and block features be computed once, before the first epoch.
-    Each epoch then walks the test split once, without a tape.
+    Emits one row per epoch with train losses, per-branch test top-1 (acc_*)
+    and top-5 (top5_*), and optional cosine metrics. The frozen FP model is
+    audited by checksum every epoch, and any drift raises; that audit lets
+    its ``model_pass`` run once, before the first epoch. Each epoch then
+    walks the test split once with ``evaluate_branches``.
     """
     if not fp.frozen:
         raise ValueError("the full-precision counterpart must be frozen")
     fp_checksum = fp.checksum()
-    acc_f, leading = teacher_pass(fp, test_split, cfg.eval_batch_size,
-                                  cfg.cos_samples if cfg.cos_every else 0)
+    scores_f, leading = model_pass(fp, test_split, cfg.eval_batch_size,
+                                   cfg.cos_samples if cfg.cos_every else 0)
 
     def epoch_row(epoch, sums):
         if fp.checksum() != fp_checksum:
@@ -212,7 +212,7 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
         audit = cfg.cos_every and (epoch in (1, cfg.epochs) or epoch % cfg.cos_every == 0)
         return {**{k: float(np.mean(v)) for k, v in sums.items()},
                 **evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
-                                    (acc_f, leading if audit else []))}
+                                    (scores_f, leading if audit else []))}
 
     return _train(lp, fp, train_split, cfg, w, epoch_row, on_epoch)
 

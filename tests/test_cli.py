@@ -137,18 +137,54 @@ def test_baseline_equals_bwrf_with_toggles_off(fp_run, tmp_path):
     assert (out_a / "lp.ckpt").read_bytes() == (out_b / "lp.ckpt").read_bytes()
 
 
-def test_eval_graft_branch(fp_run, tmp_path, capsys):
+def test_eval_graft_branch(fp_run, tmp_path, capsys, monkeypatch):
+    from bwrf.network import BlockModel
+
     cfg_path, _, ckpt = fp_run
     out = tmp_path / "bwrf"
     entry(["train-bwrf", "--config", cfg_path, "--set", f"fp_checkpoint={ckpt}",
            "--set", f"output_dir={out}", "--set", "bits=4", "--set", "epochs=1",
            "--set", "milestones="])
+    forward_collect, walked = BlockModel.forward_collect, []
+
+    def recorded(model, x):
+        walked.append("F" if model.bits is None else "Q")
+        return forward_collect(model, x)
+
+    monkeypatch.setattr(BlockModel, "forward_collect", recorded)
     capsys.readouterr()
     code = entry(["eval", "--config", cfg_path, "--set", "branch=M1",
                   "--set", "bits=4", "--set", f"checkpoint={out / 'lp.ckpt'}",
                   "--set", f"fp_checkpoint={ckpt}"])
     assert code == 0
     assert "branch=M1" in capsys.readouterr().out
+    assert walked == ["Q"], "one LP walk of the single 64-image eval batch, no F walk"
+
+
+def test_read_out_commands_agree_with_the_training_log(fp_run, tmp_path, capsys):
+    """eval of every branch prints the last logged acc_*, and analyze-similarity
+    writes the last logged cos_* cells; 40 cosine rows end inside the second
+    24-image eval batch."""
+    cfg_path, _, ckpt = fp_run
+    out = tmp_path / "bwrf"
+    common = ["--config", cfg_path, "--set", f"fp_checkpoint={ckpt}", "--set", "bits=4",
+              "--set", "eval_batch_size=24", "--set", "cos_samples=40"]
+    assert entry(["train-bwrf", *common, "--set", f"output_dir={out}",
+                  "--set", "cos_every=2", "--set", "epochs=2"]) == 0
+    header, *rows = read_csv(out / "train_log.csv")
+    last = dict(zip(header, rows[-1]))
+    for branch in ("Q", "M1", "M2", "F"):
+        ckpt_of = ckpt if branch == "F" else out / "lp.ckpt"
+        capsys.readouterr()
+        assert entry(["eval", *common, "--set", f"branch={branch}",
+                      "--set", f"checkpoint={ckpt_of}"]) == 0
+        line = capsys.readouterr().out.strip()
+        assert line.startswith(f"branch={branch} top1={float(last[f'acc_{branch}']):.4f} ")
+    assert entry(["analyze-similarity", *common, "--set", f"checkpoint={out / 'lp.ckpt'}",
+                  "--set", f"output_dir={tmp_path / 'sim'}"]) == 0
+    sim_header, sim_row = read_csv(tmp_path / "sim" / "similarity.csv")
+    assert sim_header == [c for c in header if c.startswith("cos_")]
+    assert sim_row == [last[c] for c in sim_header]
 
 
 def test_analyze_similarity_outputs(fp_run, tmp_path, capsys):
@@ -203,6 +239,28 @@ def test_exit_code_3_on_data_errors(tmp_path, capsys):
     cfg.write_text(f"data_dir = {tmp_path}/empty\nepochs = 1\nmilestones =\n")
     assert entry(["train-fp", "--config", str(cfg)]) == 3
     assert "data error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_exit_code_3_on_an_empty_idx_split(tmp_path, split, capsys):
+    from bwrf.data import write_idx
+
+    data = tmp_path / "data"
+    write_synthetic_idx(str(data), n_train=32, n_test=16, hw=16, seed=5)
+    write_idx(str(data / f"{split}-images-idx3-ubyte"), str(data / f"{split}-labels-idx1-ubyte"),
+              np.zeros((0, 16, 16), np.uint8), np.zeros(0, np.uint8))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"""
+arch = resnet8
+data_format = idx
+data_dir = {data}
+epochs = 1
+milestones =
+output_dir = {tmp_path}/out
+""")
+    assert entry(["train-fp", "--config", str(cfg)]) == 3
+    assert f"{split}-images-idx3-ubyte: no records" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fp.ckpt").exists()
 
 
 def test_exit_code_4_on_checkpoint_errors(tmp_path, idx_dir, capsys):

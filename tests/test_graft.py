@@ -106,7 +106,6 @@ def test_forward_bundle_shape_and_detachment():
     assert len(g.y_m) == lp.n_blocks - 1
     assert all(y is not None for y in g.y_m)
     assert g.y_f is not None and not g.y_f.requires_grad
-    assert len(g.lp_features) == lp.n_blocks
 
 
 def test_branch_count_law_full_framework():
@@ -354,9 +353,7 @@ def test_train_step_metrics_fields():
     lp, fp = make_pair(seed=22)
     opt = SGD(lp.param_groups(), lr=0.01)
     m = train_step(lp, fp, batch(), LossWeights(), opt)
-    for key in ("loss_total", "loss_target", "loss_distill", "train_acc_Q",
-                "train_acc_M1", "train_acc_M2", "train_acc_F"):
-        assert key in m
+    assert list(m) == ["loss_total", "loss_target", "loss_distill", "train_acc_Q"]
     assert m["loss_total"] == pytest.approx(m["loss_target"] + m["loss_distill"], rel=1e-5)
 
 

@@ -13,8 +13,7 @@ from bwrf.graft import LossWeights, graft_forward
 from bwrf.network import BlockModel, BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
 from bwrf.training import (SGD, NumericsError, Schedule, _cos_rows, cosine_similarities,
-                           evaluate, evaluate_branches, lr_at, teacher_pass,
-                           train_bwrf, train_fp)
+                           evaluate_branches, lr_at, model_pass, train_bwrf, train_fp)
 
 SPEC = BlockSpec(units_per_block=1, in_channels=3, num_classes=10)
 
@@ -127,7 +126,21 @@ def test_lr_at_steps_down_at_each_milestone():
     assert lr_at(299, sched, 0.04) == pytest.approx(0.0004)
 
 
-# -- evaluate ----------------------------------------------------------------------
+# -- evaluation ----------------------------------------------------------------------
+
+class Forward:
+    """A model stand-in for model_pass: no block features, logits from a
+    function of the input batch."""
+
+    def __init__(self, logits):
+        self.logits = logits
+
+    def eval(self):
+        return self
+
+    def forward_collect(self, x):
+        return [], self.logits(x)
+
 
 def label_coded_split(per_class=2):
     """Images that carry their own label in pixel [0,0,0]."""
@@ -140,51 +153,54 @@ def label_coded_split(per_class=2):
 def test_evaluate_perfect_predictor_scores_100():
     split = label_coded_split()
 
-    def forward(x):
+    def logits(x):
         idx = x.data[:, 0, 0, 0].astype(int)
         return Tensor(np.eye(10, dtype=np.float32)[idx] * 10.0)
 
-    top1, top5 = evaluate(forward, split, batch_size=8)
-    assert top1 == 100.0 and top5 == 100.0
+    assert model_pass(Forward(logits), split, batch_size=8) == ((100.0, 100.0), [])
 
 
 def test_evaluate_constant_predictor_matches_class_frequency():
     split = label_coded_split()
     fixed = np.arange(10, 0, -1, dtype=np.float32)  # favors class 0, top5 = {0..4}
 
-    def forward(x):
+    def logits(x):
         return Tensor(np.tile(fixed, (len(x.data), 1)))
 
-    top1, top5 = evaluate(forward, split, batch_size=8)
+    (top1, top5), _ = model_pass(Forward(logits), split, batch_size=8)
     assert top1 == pytest.approx(10.0)
     assert top5 == pytest.approx(50.0)
 
 
 def test_evaluate_top5_bounds_top1():
     lp, _ = make_pair()
-    lp.eval()
     split = random_split(24, seed=3)
-    top1, top5 = evaluate(lp, split, batch_size=8)
+    (top1, top5), _ = model_pass(lp, split, batch_size=8)
     assert 0.0 <= top1 <= top5 <= 100.0
+    assert type(top1) is float and type(top5) is float
 
 
 def test_evaluate_empty_split_raises():
     empty = Split(np.zeros((0, 3, 4, 4), np.float32), np.zeros(0, np.int64))
     with pytest.raises(ValueError, match="empty"):
-        evaluate(lambda x: x, empty, batch_size=8)
+        model_pass(Forward(lambda x: x), empty, batch_size=8)
 
 
 def test_evaluate_branches_matches_separate_evaluations():
     lp, fp = make_pair(seed=5)
     split = random_split(32, seed=6)
-    accs = evaluate_branches(lp, fp, split, 16, teacher_pass(fp, split, 16))
-    assert set(accs) == {"acc_Q", "acc_M1", "acc_M2", "acc_F"}
-    lp.eval()
-    assert accs["acc_Q"] == evaluate(lp, split, 16)[0]
-    assert accs["acc_F"] == evaluate(fp, split, 16)[0]
+    teacher = model_pass(fp, split, 16)
+    scores = evaluate_branches(lp, fp, split, 16, teacher)
+    assert list(scores) == ["acc_Q", "top5_Q", "acc_M1", "top5_M1", "acc_M2", "top5_M2",
+                            "acc_F", "top5_F"]
+    assert (scores["acc_Q"], scores["top5_Q"]) == model_pass(lp, split, 16)[0]
+    assert (scores["acc_F"], scores["top5_F"]) == teacher[0]
     for k in (1, 2):
-        forward = lambda x: graft_forward(lp.forward_collect(x)[0], fp, k)
-        assert accs[f"acc_M{k}"] == evaluate(forward, split, 16)[0]
+        graft = Forward(lambda x: graft_forward(lp.forward_collect(x)[0], fp, k))
+        assert (scores[f"acc_M{k}"], scores[f"top5_M{k}"]) == model_pass(graft, split, 16)[0]
+    assert all(type(v) is float for v in scores.values())
+    without_f = evaluate_branches(lp, fp, split, 16, ((None, None), []))
+    assert without_f == {**scores, "acc_F": None, "top5_F": None}
 
 
 @pytest.mark.parametrize("cos_rows", [8, 20, 40, 1024])
@@ -196,7 +212,7 @@ def test_evaluate_branches_matches_two_walk_oracle(cos_rows):
     split = random_split(40, seed=18)
     lp.eval()
     lp(Tensor(random_split(16, seed=19).images))  # calibrate the activation scales
-    got = evaluate_branches(lp, fp, split, 16, teacher_pass(fp, split, 16, cos_rows))
+    got = evaluate_branches(lp, fp, split, 16, model_pass(fp, split, 16, cos_rows))
     want = oracles.branch_metrics_two_walks(lp, fp, split, 16, cos_rows)
     assert list(got) == list(want)
     for key in want:
@@ -308,7 +324,8 @@ def test_train_bwrf_rows_and_fp_integrity():
                       tiny_cfg(), LossWeights())
     assert fp.checksum() == before
     base_keys = {"epoch", "lr", "loss_total", "loss_target", "loss_distill",
-                 "train_acc_Q", "acc_Q", "acc_M1", "acc_M2", "acc_F"}
+                 "train_acc_Q", "acc_Q", "acc_M1", "acc_M2", "acc_F",
+                 "top5_Q", "top5_M1", "top5_M2", "top5_F"}
     for row in rows:
         assert set(row) == base_keys
         assert row["loss_total"] == pytest.approx(row["loss_target"] + row["loss_distill"],
