@@ -12,7 +12,8 @@ the quantized prefix (the suffix itself collects none).
 
 import numpy as np
 
-from bwrf.graft import LossWeights, bwrf_forward, graft_forward
+from bwrf.config import RunConfig
+from bwrf.graft import bwrf_forward, graft_forward
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
 
@@ -55,7 +56,7 @@ def main():
     print("\n== block-call accounting for one full training forward ==")
     lp.reset_block_counters()
     fp.reset_block_counters()
-    bwrf_forward(lp, fp, x, LossWeights())
+    bwrf_forward(lp, fp, x, RunConfig())
     lp_calls = [b.calls for b in lp.blocks]
     fp_calls = [b.calls for b in fp.blocks]
     print(f"  quantized blocks ran {lp_calls} times (one shared prefix pass)")

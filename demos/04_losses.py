@@ -12,8 +12,9 @@ quantization-aware training.
 
 import numpy as np
 
-from bwrf.graft import (GraftOutput, LossWeights, avg_soft_label, kd_loss,
-                        loss_distill, loss_target, total_loss)
+from bwrf.config import RunConfig
+from bwrf.graft import (GraftOutput, avg_soft_label, kd_loss, loss_distill, loss_target,
+                        total_loss)
 from bwrf.tensor import Tensor
 
 
@@ -30,9 +31,9 @@ def main():
     g = GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f)
 
     print("== the target term stacks branch cross-entropies ==")
-    w = LossWeights(alpha=(1.0, 1.0))
-    base = loss_target(y_q, [None, None], labels, w)
-    full = loss_target(y_q, y_m, labels, w)
+    cfg = RunConfig(alpha=(1.0, 1.0))
+    base = loss_target(y_q, [None, None], labels, cfg)
+    full = loss_target(y_q, y_m, labels, cfg)
     print(f"  quantized output alone: {base.item():.4f}")
     print(f"  plus both graft branches (alpha 1, 1): {full.item():.4f}")
 
@@ -54,14 +55,14 @@ def main():
 
     print("\n== the four switches ==")
     for name in ("use_mp_targets", "use_fp_kd", "use_mp_kd", "use_avg_labels"):
-        w = LossWeights(**{name: False})
-        t = loss_target(y_q, y_m, labels, w)
-        d = loss_distill(g, w)
+        cfg = RunConfig(**{name: False})
+        t = loss_target(y_q, y_m, labels, cfg)
+        d = loss_distill(g, cfg)
         print(f"  {name:15s} off -> target {t.item():.4f}  distill {d.item():.4f}")
 
-    w_off = LossWeights(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
+    cfg_off = RunConfig(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
                         use_avg_labels=False)
-    total, t, d = total_loss(g, labels, w_off)
+    total, t, d = total_loss(g, labels, cfg_off)
     print(f"  all four off -> total {total.item():.4f} = plain cross-entropy "
           f"{base.item():.4f}, distill {d.item():.4f}")
 

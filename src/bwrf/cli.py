@@ -27,13 +27,13 @@ import csv
 import os
 import sys
 
+from bwrf import training
 from bwrf.checkpoint import CheckpointError, load_into_model, save_model
-from bwrf.config import ConfigError, RunConfig, block_spec, load_config, resolved_text
+from bwrf.config import (ConfigError, RunConfig, block_spec, load_config, loss_switches_off,
+                         resolved_text)
 from bwrf.data import DataError, load_cifar10, load_idx_dir, subset
-from bwrf.graft import LossWeights
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
-from bwrf.training import (NumericsError, cosine_similarities, evaluate_branches,
-                            model_pass, train_bwrf, train_fp)
+from bwrf.training import NumericsError, model_pass, train_bwrf, train_fp
 
 FP_COLUMNS = ("epoch", "lr", "loss", "train_acc", "test_acc")
 
@@ -56,13 +56,6 @@ def load_splits(cfg: RunConfig):
         train = subset(train, cfg.subset_fraction, cfg.subset_seed)
         test = subset(test, cfg.subset_fraction, cfg.subset_seed)
     return train, test
-
-
-def loss_weights(cfg: RunConfig) -> LossWeights:
-    return LossWeights(alpha=cfg.alpha, temperature=cfg.temperature,
-                       use_mp_targets=cfg.use_mp_targets, use_fp_kd=cfg.use_fp_kd,
-                       use_mp_kd=cfg.use_mp_kd, use_avg_labels=cfg.use_avg_labels,
-                       mp_branches=cfg.mp_branches)
 
 
 def bwrf_columns(cfg: RunConfig, n_blocks: int) -> tuple:
@@ -122,7 +115,7 @@ def cmd_train_fp(args) -> int:
 def _train_lp(args, force_baseline: bool) -> int:
     cfg = load_config(args.config, args.set)
     if force_baseline:
-        cfg.use_mp_targets = cfg.use_fp_kd = cfg.use_mp_kd = cfg.use_avg_labels = False
+        cfg = loss_switches_off(cfg)
     if not cfg.fp_checkpoint:
         raise ConfigError("this command needs fp_checkpoint = <path to a train-fp checkpoint>")
     train, test = load_splits(cfg)
@@ -131,7 +124,7 @@ def _train_lp(args, force_baseline: bool) -> int:
     fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
     lp = build_lp(cfg, spec)
     init_lp_from_fp(lp, fp)
-    rows = train_bwrf(lp, fp, train, test, cfg, loss_weights(cfg))
+    rows = train_bwrf(lp, fp, train, test, cfg)
     write_csv(os.path.join(out_dir, "train_log.csv"), rows,
               bwrf_columns(cfg, lp.n_blocks))
     ckpt_path = cfg.checkpoint or os.path.join(out_dir, "lp.ckpt")
@@ -166,7 +159,8 @@ def cmd_eval(args) -> int:
         load_into_model(cfg.checkpoint, model, cfg.arch)
     if branch.startswith("M"):
         fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
-        scores = evaluate_branches(model, fp, test, cfg.eval_batch_size, ((None, None), []))
+        scores = training.evaluate_branches(model, fp, test, cfg.eval_batch_size,
+                                            ((None, None), []))
         top1, top5 = scores[f"acc_{branch}"], scores[f"top5_{branch}"]
     else:
         (top1, top5), _ = model_pass(model, test, cfg.eval_batch_size)
@@ -184,7 +178,7 @@ def cmd_analyze_similarity(args) -> int:
     lp = build_lp(cfg, spec)
     load_into_model(cfg.checkpoint, lp, cfg.arch)
     fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
-    metrics = cosine_similarities(lp, fp, test, cfg.cos_samples, cfg.eval_batch_size)
+    metrics = training.cosine_similarities(lp, fp, test, cfg.cos_samples, cfg.eval_batch_size)
     columns = tuple(metrics)
     write_csv(os.path.join(out_dir, "similarity.csv"), [metrics], columns)
     print(" ".join(f"{k}={v:.6f}" for k, v in metrics.items()))

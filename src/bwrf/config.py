@@ -29,7 +29,7 @@ class RunConfig:
     in_channels: int = 3
     num_classes: int = 10
     grad_scale_enabled: bool = True
-    # loss
+    # loss (the terms each field adds are listed in the graft module docstring)
     alpha: tuple = (1.0, 1.0)
     temperature: float = 1.0
     use_mp_targets: bool = True
@@ -63,6 +63,12 @@ class RunConfig:
     branch: str = "Q"  # eval target: Q, F, or M<k>
     cos_every: int = 0  # per-epoch cosine-metric cadence; 0 = off
     cos_samples: int = 1024
+
+
+def loss_switches_off(cfg: RunConfig) -> RunConfig:
+    """A copy of cfg with the four loss switches off: plain cross-entropy on Q."""
+    return dataclasses.replace(cfg, use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
+                               use_avg_labels=False)
 
 
 _LIST_FIELDS = {

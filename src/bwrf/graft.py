@@ -8,6 +8,20 @@ branch toward the FP prediction and toward a running average of the
 "stronger" branch predictions. Gradients from every branch flow back
 through the shared LP prefix and accumulate.
 
+The loss settings are fields of ``config.RunConfig``. alpha[k-1] weighs
+every term of branch M_k; temperature is the distillation temperature;
+mp_branches picks the grafts that run (None = all of 1..n-1, order and
+repeats ignored). The four switches each add one term family:
+
+- use_mp_targets: cross-entropy of each M_k against the labels
+- use_fp_kd:      distillation of Q toward F
+- use_mp_kd:      distillation of each M_k toward F
+- use_avg_labels: distillation of Q toward the mean of F and every M_k, and
+                  of each M_k toward the mean of F and M_1..M_{k-1}
+
+With all four off the objective is plain cross-entropy on Q, the vanilla
+QAT baseline, and no FP block runs.
+
 Teacher-side logits in every distillation term are detached: mixed
 branches share LP weights with their students, so an undetached teacher
 would let students drag their own targets.
@@ -21,57 +35,6 @@ import numpy as np
 
 from bwrf import tensor as T
 from bwrf.tensor import Tensor
-
-
-@dataclass
-class LossWeights:
-    """Per-branch weights, distillation temperature, and loss-term toggles.
-
-    alpha balances each mixed branch's contribution in both the target and
-    distillation sums (one shared weight per branch). The toggles drop
-    whole term families for ablations:
-
-    - use_mp_targets: cross-entropy of mixed-branch logits against labels
-    - use_fp_kd:      distillation of the LP output toward the FP output
-    - use_mp_kd:      distillation of mixed branches toward the FP output
-    - use_avg_labels: distillation toward averaged-ensemble soft labels
-
-    With all four off the objective reduces to plain cross-entropy on the
-    LP output, i.e. the vanilla QAT baseline. mp_branches selects which
-    graft points are realized at all (None = all of 1..n-1).
-    """
-
-    alpha: tuple = (1.0, 1.0)
-    temperature: float = 1.0
-    use_mp_targets: bool = True
-    use_fp_kd: bool = True
-    use_mp_kd: bool = True
-    use_avg_labels: bool = True
-    mp_branches: tuple | None = None
-
-    def __post_init__(self):
-        self.alpha = tuple(float(a) for a in self.alpha)
-        if any(a < 0 for a in self.alpha):
-            raise ValueError(f"alpha weights must be non-negative, got {self.alpha}")
-        if self.temperature <= 0:
-            raise ValueError(f"temperature must be positive, got {self.temperature}")
-        if self.mp_branches is not None:
-            self.mp_branches = tuple(sorted(int(k) for k in set(self.mp_branches)))
-
-    def branches(self, n_blocks: int) -> tuple:
-        """The realized graft indices k, each in 1..n-1."""
-        ks = self.mp_branches if self.mp_branches is not None else range(1, n_blocks)
-        out = tuple(k for k in ks)
-        for k in out:
-            if not 1 <= k <= n_blocks - 1:
-                raise ValueError(f"graft index {k} out of range 1..{n_blocks - 1}")
-        return out
-
-    def any_distill(self) -> bool:
-        return self.use_fp_kd or self.use_mp_kd or self.use_avg_labels
-
-    def needs_grafts(self) -> bool:
-        return self.use_mp_targets or self.use_mp_kd or self.use_avg_labels
 
 
 @dataclass
@@ -99,26 +62,27 @@ def graft_forward(lp_features: list, fp_model, k: int) -> Tensor:
     return fp_model.forward_from_block(lp_features[k - 1], k)
 
 
-def bwrf_forward(lp, fp, x: Tensor, w: LossWeights) -> GraftOutput:
-    """LP forward plus exactly the FP work the enabled loss terms consume;
+def bwrf_forward(lp, fp, x: Tensor, cfg) -> GraftOutput:
+    """LP forward plus exactly the FP work cfg's enabled loss terms consume;
     with every term off that is none, and fp may be None."""
     n = lp.n_blocks
     lp_features, y_q = lp.forward_collect(x)
-    y_f = fp(x).detach() if w.any_distill() else None
+    y_f = fp(x).detach() if cfg.use_fp_kd or cfg.use_mp_kd or cfg.use_avg_labels else None
     y_m = [None] * (n - 1)
-    if w.needs_grafts():
-        for k in w.branches(n):
+    if cfg.use_mp_targets or cfg.use_mp_kd or cfg.use_avg_labels:
+        ks = range(1, n) if cfg.mp_branches is None else sorted(set(cfg.mp_branches))
+        for k in ks:
             y_m[k - 1] = graft_forward(lp_features, fp, k)
     return GraftOutput(y_q=y_q, y_m=y_m, y_f=y_f)
 
 
-def loss_target(y_q: Tensor, y_m: list, labels: np.ndarray, w: LossWeights) -> Tensor:
+def loss_target(y_q: Tensor, y_m: list, labels: np.ndarray, cfg) -> Tensor:
     """Cross-entropy of the LP branch, plus weighted mixed-branch terms."""
     loss = T.cross_entropy(y_q, labels)
-    if w.use_mp_targets:
+    if cfg.use_mp_targets:
         for k, y in enumerate(y_m, start=1):
             if y is not None:
-                loss = T.add(loss, T.cross_entropy(y, labels) * w.alpha[k - 1])
+                loss = T.add(loss, T.cross_entropy(y, labels) * cfg.alpha[k - 1])
     return loss
 
 
@@ -160,7 +124,7 @@ def kd_loss(student: Tensor, teacher: Tensor, temperature: float = 1.0) -> Tenso
     return (const - cross) * scale
 
 
-def loss_distill(g: GraftOutput, w: LossWeights) -> Tensor:
+def loss_distill(g: GraftOutput, cfg) -> Tensor:
     """Distillation sum over the LP branch and every realized mixed branch.
 
     The LP branch learns from the FP logits and from the average over all
@@ -169,24 +133,24 @@ def loss_distill(g: GraftOutput, w: LossWeights) -> Tensor:
     everything off this is the constant 0.
     """
     n = len(g.y_m) + 1
-    temp = w.temperature
+    temp = cfg.temperature
     terms = []
-    if w.use_fp_kd and g.y_f is not None:
+    if cfg.use_fp_kd and g.y_f is not None:
         terms.append(kd_loss(g.y_q, g.y_f, temp))
-    if w.use_avg_labels and g.y_f is not None:
+    if cfg.use_avg_labels and g.y_f is not None:
         terms.append(kd_loss(g.y_q, avg_soft_label(g.y_f, g.y_m, n - 1), temp))
     for k in range(1, n):
         y = g.y_m[k - 1]
         if y is None:
             continue
         branch = []
-        if w.use_mp_kd and g.y_f is not None:
+        if cfg.use_mp_kd and g.y_f is not None:
             branch.append(kd_loss(y, g.y_f, temp))
-        if w.use_avg_labels and g.y_f is not None:
+        if cfg.use_avg_labels and g.y_f is not None:
             branch.append(kd_loss(y, avg_soft_label(g.y_f, g.y_m, k - 1), temp))
         if branch:
             summed = branch[0] if len(branch) == 1 else T.add(branch[0], branch[1])
-            terms.append(summed * w.alpha[k - 1])
+            terms.append(summed * cfg.alpha[k - 1])
     if not terms:
         return Tensor(np.float32(0.0))
     total = terms[0]
@@ -195,10 +159,10 @@ def loss_distill(g: GraftOutput, w: LossWeights) -> Tensor:
     return total
 
 
-def total_loss(g: GraftOutput, labels: np.ndarray, w: LossWeights):
+def total_loss(g: GraftOutput, labels: np.ndarray, cfg):
     """(total, target, distill) scalars; total = target + distill, unweighted."""
-    lt = loss_target(g.y_q, g.y_m, labels, w)
-    ld = loss_distill(g, w)
+    lt = loss_target(g.y_q, g.y_m, labels, cfg)
+    ld = loss_distill(g, cfg)
     return T.add(lt, ld), lt, ld
 
 
@@ -207,7 +171,7 @@ def top1_percent(logits: Tensor, labels: np.ndarray) -> float:
     return float((pred == labels).mean() * 100.0)
 
 
-def train_step(lp, fp, batch, w: LossWeights, optimizer) -> dict:
+def train_step(lp, fp, batch, cfg, optimizer) -> dict:
     """One full training step on the LP model.
 
     Forward all branches, build the composite loss, backpropagate through
@@ -220,8 +184,8 @@ def train_step(lp, fp, batch, w: LossWeights, optimizer) -> dict:
     for _, p, _ in lp.param_groups():
         p.grad = None
     x = images if isinstance(images, Tensor) else Tensor(images)
-    g = bwrf_forward(lp, fp, x, w)
-    loss, lt, ld = total_loss(g, labels, w)
+    g = bwrf_forward(lp, fp, x, cfg)
+    loss, lt, ld = total_loss(g, labels, cfg)
     loss.backward()
     optimizer.step()
     return {

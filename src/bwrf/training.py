@@ -12,13 +12,13 @@ scores one model, ``evaluate_branches`` Q and every graft M_k off one LP pass.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from bwrf import tensor as T
+from bwrf.config import loss_switches_off
 from bwrf.data import Split, iter_batches
-from bwrf.graft import LossWeights, train_step
+from bwrf.graft import train_step
 from bwrf.quantizer import SCALE_FLOOR
 from bwrf.tensor import Tensor
 
@@ -65,24 +65,10 @@ class SGD:
         self.steps += 1
 
 
-@dataclass
-class Schedule:
-    milestones: tuple = (150, 225)
-    factor: float = 0.1
-    total_epochs: int = 300
-
-    def __post_init__(self):
-        ms = list(self.milestones)
-        if ms != sorted(set(ms)):
-            raise ValueError(f"milestones must be strictly increasing, got {self.milestones}")
-        if ms and ms[-1] >= self.total_epochs:
-            raise ValueError("milestones must lie before the final epoch")
-
-
-def lr_at(epoch: int, schedule: Schedule, base_lr: float) -> float:
-    """base_lr times factor^(number of milestones at or before this epoch)."""
-    passed = sum(1 for m in schedule.milestones if m <= epoch)
-    return base_lr * schedule.factor ** passed
+def lr_at(epoch: int, cfg) -> float:
+    """cfg.lr times cfg.lr_decay^(number of cfg.milestones at or before this epoch)."""
+    passed = sum(1 for m in cfg.milestones if m <= epoch)
+    return cfg.lr * cfg.lr_decay ** passed
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -170,10 +156,6 @@ def _cos_rows(a: np.ndarray, b: np.ndarray) -> float:
 
 # -- the epoch loop --------------------------------------------------------------------
 
-# With no counterpart and every term off, train_step is plain cross-entropy.
-PLAIN_CE = LossWeights(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
-                       use_avg_labels=False)
-
 
 def train_fp(model, train_split: Split, test_split: Split, cfg, on_epoch=None) -> list:
     """Plain cross-entropy training of the full-precision model: the grafted
@@ -187,12 +169,12 @@ def train_fp(model, train_split: Split, test_split: Split, cfg, on_epoch=None) -
                 "train_acc": float(np.mean(sums["train_acc_Q"])),
                 "test_acc": model_pass(model, test_split, cfg.eval_batch_size)[0][0]}
 
-    return _train(model, None, train_split, cfg, PLAIN_CE, epoch_row, on_epoch)
+    return _train(model, None, train_split, loss_switches_off(cfg), epoch_row, on_epoch)
 
 
-def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeights,
-               on_epoch=None) -> list:
-    """The grafted training loop (also the baseline when all toggles are off).
+def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, on_epoch=None) -> list:
+    """The grafted training loop under cfg's loss settings (also the baseline
+    when all four switches are off).
 
     Emits one row per epoch with train losses, per-branch test top-1 (acc_*)
     and top-5 (top5_*), and optional cosine metrics. The frozen FP model is
@@ -214,10 +196,10 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, w: LossWeight
                 **evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
                                     (scores_f, leading if audit else []))}
 
-    return _train(lp, fp, train_split, cfg, w, epoch_row, on_epoch)
+    return _train(lp, fp, train_split, cfg, epoch_row, on_epoch)
 
 
-def _train(model, fp, train_split: Split, cfg, w: LossWeights, epoch_row, on_epoch) -> list:
+def _train(model, fp, train_split: Split, cfg, epoch_row, on_epoch) -> list:
     """Run cfg.epochs of train_step over the shuffled split; each epoch's row is
     epoch, lr, then epoch_row(epoch, per-step metric lists).
 
@@ -228,16 +210,15 @@ def _train(model, fp, train_split: Split, cfg, w: LossWeights, epoch_row, on_epo
     opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay, scale_lr_mult=cfg.scale_lr_mult)
     scales = [(name, p) for name, p, _ in opt.groups if name.endswith(".scale")]
-    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for epoch in range(1, cfg.epochs + 1):
-        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
+        opt.lr = lr_at(epoch - 1, cfg)
         model.train()
         sums = {"loss_total": [], "loss_target": [], "loss_distill": [], "train_acc_Q": []}
         batches = iter_batches(train_split, cfg.batch_size, rng, augment=cfg.augment)
         for step, batch in enumerate(batches, start=1):
-            metrics = train_step(model, fp, batch, w, opt)
+            metrics = train_step(model, fp, batch, cfg, opt)
             values = [("loss_total", metrics["loss_total"])]
             values += [(name, p.item()) for name, p in scales]
             for name, value in values:

@@ -461,15 +461,14 @@ def train_fp_plain_ce(model, train_split, test_split, cfg, on_epoch=None):
     Optimizer, schedule and batching come from bwrf."""
     from bwrf.data import iter_batches
     from bwrf.graft import top1_percent
-    from bwrf.training import SGD, Schedule, lr_at
+    from bwrf.training import SGD, lr_at
 
     opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
               weight_decay=cfg.weight_decay)
-    schedule = Schedule(cfg.milestones, cfg.lr_decay, cfg.epochs)
     rng = np.random.default_rng(cfg.seed)
     rows = []
     for epoch in range(1, cfg.epochs + 1):
-        opt.lr = lr_at(epoch - 1, schedule, cfg.lr)
+        opt.lr = lr_at(epoch - 1, cfg)
         model.train()
         losses, accs = [], []
         for images, labels in iter_batches(train_split, cfg.batch_size, rng,

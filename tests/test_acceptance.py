@@ -23,8 +23,7 @@ from bwrf.checkpoint import load_into_model, save_model
 from bwrf.cli import entry
 from bwrf.config import CIFAR10_MEAN, CIFAR10_STD, RunConfig
 from bwrf.data import load_cifar10, subset
-from bwrf.graft import (LossWeights, avg_soft_label, bwrf_forward, graft_forward,
-                        kd_loss, total_loss)
+from bwrf.graft import avg_soft_label, bwrf_forward, graft_forward, kd_loss, total_loss
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.quantizer import Quantizer, quantize_forward
 from bwrf.synthetic import write_synthetic_cifar, write_synthetic_idx
@@ -169,8 +168,8 @@ def test_criterion_04_combined_backward_equals_branch_sum():
     rng = np.random.default_rng(43)
     x = Tensor(rng.standard_normal((8, 3, 8, 8)).astype(np.float32))
     labels = rng.integers(0, 10, size=8)
-    w = LossWeights()
-    bwrf_forward(lp, fp, x, w)  # settle lazy activation-scale calibration
+    cfg = RunConfig()
+    bwrf_forward(lp, fp, x, cfg)  # settle lazy activation-scale calibration
 
     def clear():
         for _, p, _ in lp.param_groups():
@@ -185,19 +184,19 @@ def test_criterion_04_combined_backward_equals_branch_sum():
                      T.add(kd_loss(y, g.y_f), kd_loss(y, avg_soft_label(g.y_f, g.y_m, k))))
 
     clear()
-    g = bwrf_forward(lp, fp, x, w)
-    loss, _, _ = total_loss(g, labels, w)
+    g = bwrf_forward(lp, fp, x, cfg)
+    loss, _, _ = total_loss(g, labels, cfg)
     loss.backward()
     combined = snap()
 
     per_branch = []
     for k in range(lp.n_blocks):
         clear()
-        g = bwrf_forward(lp, fp, x, w)
+        g = bwrf_forward(lp, fp, x, cfg)
         if k == lp.n_blocks - 1:
             branch_loss(g, g.y_q, k).backward()
         else:
-            (branch_loss(g, g.y_m[k], k) * w.alpha[k]).backward()
+            (branch_loss(g, g.y_m[k], k) * cfg.alpha[k]).backward()
         per_branch.append(snap())
 
     for name in combined:
@@ -230,7 +229,7 @@ def test_criterion_05_frozen_teacher_unchanged_after_training(tmp_path):
     before = fp.checksum()
     cfg = RunConfig(arch="resnet20", bits=4, epochs=3, milestones=(), lr=0.04,
                     batch_size=128, eval_batch_size=256, seed=50, cos_every=0)
-    rows = train_bwrf(lp, fp, train, test, cfg, LossWeights())
+    rows = train_bwrf(lp, fp, train, test, cfg)
     assert len(rows) == 3
     assert fp.checksum() == before
 

@@ -300,14 +300,14 @@ output_dir = {tmp_path}/fp
     ckpt = tmp_path / "fp" / "fp.ckpt"
     train_step, calls, before = training.train_step, [], []
 
-    def nan_at_epoch_2_step_2(model, fp, batch, w, opt):
+    def nan_at_epoch_2_step_2(model, fp, batch, cfg, opt):
         calls.append(1)
         if len(calls) == 3 + 2:  # 192 images at batch 64: three steps per epoch
             before.append(ckpt.read_bytes())  # epoch 1's best checkpoint
             images = batch[0].copy()
             images[0, 0, 0, 0] = np.nan
             batch = (images, batch[1])
-        return train_step(model, fp, batch, w, opt)
+        return train_step(model, fp, batch, cfg, opt)
 
     monkeypatch.setattr(training, "train_step", nan_at_epoch_2_step_2)
     assert entry(["train-fp", "--config", str(cfg)]) == 5

@@ -7,9 +7,9 @@ import pytest
 
 import oracles
 from bwrf import tensor as T
-from bwrf.graft import (GraftOutput, LossWeights, avg_soft_label, bwrf_forward,
-                        graft_forward, kd_loss, loss_distill, loss_target,
-                        total_loss, train_step)
+from bwrf.config import RunConfig
+from bwrf.graft import (GraftOutput, avg_soft_label, bwrf_forward, graft_forward, kd_loss,
+                        loss_distill, loss_target, total_loss, train_step)
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
 from bwrf.training import SGD
@@ -102,7 +102,7 @@ def test_graft_backward_reaches_only_prefix_parameters():
 
 def test_forward_bundle_shape_and_detachment():
     lp, fp = make_pair()
-    g = bwrf_forward(lp, fp, Tensor(batch()[0]), LossWeights())
+    g = bwrf_forward(lp, fp, Tensor(batch()[0]), RunConfig())
     assert len(g.y_m) == lp.n_blocks - 1
     assert all(y is not None for y in g.y_m)
     assert g.y_f is not None and not g.y_f.requires_grad
@@ -112,7 +112,7 @@ def test_branch_count_law_full_framework():
     lp, fp = make_pair()
     lp.reset_block_counters()
     fp.reset_block_counters()
-    bwrf_forward(lp, fp, Tensor(batch()[0]), LossWeights())
+    bwrf_forward(lp, fp, Tensor(batch()[0]), RunConfig())
     n = lp.n_blocks
     assert lp.block_call_count() == n, "LP prefix must run exactly once"
     extra = sum(n - k for k in range(1, n))
@@ -122,21 +122,22 @@ def test_branch_count_law_full_framework():
 def test_all_toggles_off_runs_zero_fp_blocks():
     lp, fp = make_pair()
     fp.reset_block_counters()
-    w = LossWeights(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
+    cfg = RunConfig(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
                     use_avg_labels=False)
-    g = bwrf_forward(lp, fp, Tensor(batch()[0]), w)
+    g = bwrf_forward(lp, fp, Tensor(batch()[0]), cfg)
     assert fp.block_call_count() == 0
     assert g.y_f is None and all(y is None for y in g.y_m)
 
 
 def test_mp_branch_pruning_runs_only_selected_grafts():
+    """Each selected graft runs once per forward, whatever the order or repeats."""
     lp, fp = make_pair()
-    fp.reset_block_counters()
-    w = LossWeights(mp_branches=(2,))
-    g = bwrf_forward(lp, fp, Tensor(batch()[0]), w)
-    assert g.y_m[0] is None and g.y_m[1] is not None
     n = lp.n_blocks
-    assert fp.block_call_count() == n + (n - 2)
+    for branches, realized in (((2,), (2,)), ((1, 2), (1, 2)), ((2, 1, 1), (1, 2))):
+        fp.reset_block_counters()
+        g = bwrf_forward(lp, fp, Tensor(batch()[0]), RunConfig(mp_branches=branches))
+        assert [y is not None for y in g.y_m] == [k in realized for k in range(1, n)]
+        assert fp.block_call_count() == n + sum(n - k for k in realized), branches
 
 
 # -- loss_target --------------------------------------------------------------------
@@ -145,7 +146,7 @@ def test_loss_target_no_mp_outputs_is_plain_ce():
     rng = np.random.default_rng(0)
     y_q = rand_logits(rng)
     labels = np.array([1, 2, 3, 4])
-    got = loss_target(y_q, [], labels, LossWeights(alpha=()))
+    got = loss_target(y_q, [], labels, RunConfig(alpha=()))
     assert got.item() == T.cross_entropy(y_q, labels).item()
 
 
@@ -153,7 +154,7 @@ def test_loss_target_zero_alpha_is_plain_ce():
     rng = np.random.default_rng(1)
     y_q, y_m1, y_m2 = rand_logits(rng), rand_logits(rng), rand_logits(rng)
     labels = np.array([0, 1, 2, 3])
-    got = loss_target(y_q, [y_m1, y_m2], labels, LossWeights(alpha=(0.0, 0.0)))
+    got = loss_target(y_q, [y_m1, y_m2], labels, RunConfig(alpha=(0.0, 0.0)))
     assert got.item() == T.cross_entropy(y_q, labels).item()
 
 
@@ -162,7 +163,7 @@ def test_loss_target_three_branch_scalar_oracle():
     y_m1 = Tensor(np.array([[1.0, 1.0], [-0.5, 2.0]], np.float32))
     y_m2 = Tensor(np.array([[0.0, 3.0], [1.5, -1.5]], np.float32))
     labels = np.array([0, 1])
-    got = loss_target(y_q, [y_m1, y_m2], labels, LossWeights(alpha=(1.0, 1.0))).item()
+    got = loss_target(y_q, [y_m1, y_m2], labels, RunConfig(alpha=(1.0, 1.0))).item()
     want = sum(oracles.cross_entropy_f64(y.data.astype(np.float64), labels)
                for y in (y_q, y_m1, y_m2))
     assert got == pytest.approx(want, rel=1e-5)
@@ -172,8 +173,8 @@ def test_loss_target_mp_toggle_drops_branch_terms():
     rng = np.random.default_rng(2)
     y_q, y_m1 = rand_logits(rng), rand_logits(rng)
     labels = np.array([5, 6, 7, 8])
-    w = LossWeights(alpha=(3.0,), use_mp_targets=False)
-    got = loss_target(y_q, [y_m1], labels, w)
+    cfg = RunConfig(alpha=(3.0,), use_mp_targets=False)
+    got = loss_target(y_q, [y_m1], labels, cfg)
     assert got.item() == T.cross_entropy(y_q, labels).item()
 
 
@@ -261,7 +262,7 @@ def test_distill_zero_when_all_logits_identical():
     g = GraftOutput(y_q=Tensor(logits.copy()),
                     y_m=[Tensor(logits.copy()), Tensor(logits.copy())],
                     y_f=Tensor(logits.copy()))
-    assert loss_distill(g, LossWeights()).item() == 0.0
+    assert loss_distill(g, RunConfig()).item() == 0.0
 
 
 def test_distill_two_block_symbolic_expansion():
@@ -269,7 +270,7 @@ def test_distill_two_block_symbolic_expansion():
     y_q, y_m1, y_f = rand_logits(rng), rand_logits(rng), rand_logits(rng)
     alpha = 0.7
     g = GraftOutput(y_q=y_q, y_m=[y_m1], y_f=y_f)
-    got = loss_distill(g, LossWeights(alpha=(alpha,))).item()
+    got = loss_distill(g, RunConfig(alpha=(alpha,))).item()
     want = (oracles.kd_loss_f64(y_q.data, y_f.data, 1.0)
             + oracles.kd_loss_f64(y_q.data, (y_f.data + y_m1.data) / 2, 1.0)
             + alpha * 2.0 * oracles.kd_loss_f64(y_m1.data, y_f.data, 1.0))
@@ -280,8 +281,8 @@ def test_distill_all_toggles_off_is_zero_constant():
     rng = np.random.default_rng(12)
     g = GraftOutput(y_q=rand_logits(rng), y_m=[rand_logits(rng), rand_logits(rng)],
                     y_f=rand_logits(rng))
-    w = LossWeights(use_fp_kd=False, use_mp_kd=False, use_avg_labels=False)
-    loss = loss_distill(g, w)
+    cfg = RunConfig(use_fp_kd=False, use_mp_kd=False, use_avg_labels=False)
+    loss = loss_distill(g, cfg)
     assert loss.item() == 0.0 and not loss.requires_grad
 
 
@@ -307,7 +308,7 @@ def test_distill_toggle_matrix_term_presence():
          fp_term + mp_terms + avg_terms),
     ]
     for toggles, want in cases:
-        got = loss_distill(g, LossWeights(alpha=a, **toggles)).item()
+        got = loss_distill(g, RunConfig(alpha=a, **toggles)).item()
         assert got == pytest.approx(want, rel=1e-4, abs=1e-6), toggles
 
 
@@ -318,8 +319,8 @@ def test_total_loss_reduces_to_target_when_distill_off():
     g = GraftOutput(y_q=rand_logits(rng), y_m=[rand_logits(rng), rand_logits(rng)],
                     y_f=None)
     labels = np.array([0, 1, 2, 3])
-    w = LossWeights(use_fp_kd=False, use_mp_kd=False, use_avg_labels=False)
-    total, target, distill = total_loss(g, labels, w)
+    cfg = RunConfig(use_fp_kd=False, use_mp_kd=False, use_avg_labels=False)
+    total, target, distill = total_loss(g, labels, cfg)
     assert distill.item() == 0.0
     assert total.item() == target.item()
 
@@ -329,8 +330,8 @@ def test_total_loss_generic_composition():
     g = GraftOutput(y_q=rand_logits(rng), y_m=[rand_logits(rng), rand_logits(rng)],
                     y_f=rand_logits(rng))
     labels = np.array([3, 1, 4, 1])
-    w = LossWeights(alpha=(0.5, 2.0))
-    total, target, distill = total_loss(g, labels, w)
+    cfg = RunConfig(alpha=(0.5, 2.0))
+    total, target, distill = total_loss(g, labels, cfg)
     assert total.item() == pytest.approx(target.item() + distill.item(), rel=1e-6)
     want_target = (oracles.cross_entropy_f64(g.y_q.data, labels)
                    + 0.5 * oracles.cross_entropy_f64(g.y_m[0].data, labels)
@@ -345,14 +346,14 @@ def test_train_step_leaves_fp_bit_identical():
     before = fp.checksum()
     opt = SGD(lp.param_groups(), lr=0.05, momentum=0.9, weight_decay=1e-4)
     for seed in range(3):
-        train_step(lp, fp, batch(seed=seed), LossWeights(), opt)
+        train_step(lp, fp, batch(seed=seed), RunConfig(), opt)
     assert fp.checksum() == before
 
 
 def test_train_step_metrics_fields():
     lp, fp = make_pair(seed=22)
     opt = SGD(lp.param_groups(), lr=0.01)
-    m = train_step(lp, fp, batch(), LossWeights(), opt)
+    m = train_step(lp, fp, batch(), RunConfig(), opt)
     assert list(m) == ["loss_total", "loss_target", "loss_distill", "train_acc_Q"]
     assert m["loss_total"] == pytest.approx(m["loss_target"] + m["loss_distill"], rel=1e-5)
 
@@ -364,9 +365,9 @@ def test_train_step_toggles_off_equals_plain_qat_step():
         lp, fp = make_pair(seed=23)
         opt = SGD(lp.param_groups(), lr=0.05, momentum=0.9, weight_decay=1e-4)
         if mode == "framework":
-            w = LossWeights(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
+            cfg = RunConfig(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
                             use_avg_labels=False)
-            train_step(lp, fp, (images, labels), w, opt)
+            train_step(lp, fp, (images, labels), cfg, opt)
         else:
             for _, p, _ in lp.param_groups():
                 p.grad = None
@@ -384,8 +385,8 @@ def test_gradient_sum_decomposition():
     lp.train()
     images, labels = batch(n=8, seed=44)
     x = Tensor(images)
-    w = LossWeights(alpha=(1.0, 1.0))
-    bwrf_forward(lp, fp, x, w)  # warm up lazy activation scales
+    cfg = RunConfig(alpha=(1.0, 1.0))
+    bwrf_forward(lp, fp, x, cfg)  # warm up lazy activation scales
 
     def clear():
         for _, p, _ in lp.param_groups():
@@ -396,13 +397,13 @@ def test_gradient_sum_decomposition():
                 if p.grad is not None}
 
     clear()
-    g = bwrf_forward(lp, fp, x, w)
-    loss, _, _ = total_loss(g, labels, w)
+    g = bwrf_forward(lp, fp, x, cfg)
+    loss, _, _ = total_loss(g, labels, cfg)
     loss.backward()
     combined = snap()
 
     clear()
-    g = bwrf_forward(lp, fp, x, w)
+    g = bwrf_forward(lp, fp, x, cfg)
     n = lp.n_blocks
     loss_q = T.add(T.cross_entropy(g.y_q, labels),
                    T.add(kd_loss(g.y_q, g.y_f), kd_loss(g.y_q, avg_soft_label(g.y_f, g.y_m, n - 1))))
@@ -410,13 +411,13 @@ def test_gradient_sum_decomposition():
     q_grads = snap()
 
     clear()
-    g = bwrf_forward(lp, fp, x, w)
+    g = bwrf_forward(lp, fp, x, cfg)
     terms = []
     for k in (1, 2):
         y = g.y_m[k - 1]
         branch = T.add(T.cross_entropy(y, labels),
                        T.add(kd_loss(y, g.y_f), kd_loss(y, avg_soft_label(g.y_f, g.y_m, k - 1))))
-        terms.append(branch * w.alpha[k - 1])
+        terms.append(branch * cfg.alpha[k - 1])
     T.add(terms[0], terms[1]).backward()
     m_grads = snap()
 
@@ -431,4 +432,4 @@ def test_train_step_rejects_empty_batch():
     opt = SGD(lp.param_groups(), lr=0.01)
     with pytest.raises(ValueError, match="empty"):
         train_step(lp, fp, (np.zeros((0, 3, 8, 8), np.float32), np.zeros(0, np.int64)),
-                   LossWeights(), opt)
+                   RunConfig(), opt)

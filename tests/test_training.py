@@ -9,10 +9,10 @@ import oracles
 from bwrf import training
 from bwrf.config import RunConfig
 from bwrf.data import Split
-from bwrf.graft import LossWeights, graft_forward
+from bwrf.graft import graft_forward
 from bwrf.network import BlockModel, BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
-from bwrf.training import (SGD, NumericsError, Schedule, _cos_rows, cosine_similarities,
+from bwrf.training import (SGD, NumericsError, _cos_rows, cosine_similarities,
                            evaluate_branches, lr_at, model_pass, train_bwrf, train_fp)
 
 SPEC = BlockSpec(units_per_block=1, in_channels=3, num_classes=10)
@@ -106,24 +106,14 @@ def test_sgd_does_not_clamp_ordinary_params():
 
 # -- schedule ----------------------------------------------------------------------
 
-def test_schedule_rejects_unsorted_milestones():
-    with pytest.raises(ValueError, match="increasing"):
-        Schedule((225, 150), 0.1, 300)
-
-
-def test_schedule_rejects_late_milestone():
-    with pytest.raises(ValueError, match="final epoch"):
-        Schedule((150, 300), 0.1, 300)
-
-
 def test_lr_at_steps_down_at_each_milestone():
-    sched = Schedule((150, 225), 0.1, 300)
-    assert lr_at(0, sched, 0.04) == pytest.approx(0.04)
-    assert lr_at(149, sched, 0.04) == pytest.approx(0.04)
-    assert lr_at(150, sched, 0.04) == pytest.approx(0.004)
-    assert lr_at(224, sched, 0.04) == pytest.approx(0.004)
-    assert lr_at(225, sched, 0.04) == pytest.approx(0.0004)
-    assert lr_at(299, sched, 0.04) == pytest.approx(0.0004)
+    cfg = RunConfig(lr=0.04, milestones=(150, 225), lr_decay=0.1, epochs=300)
+    assert lr_at(0, cfg) == pytest.approx(0.04)
+    assert lr_at(149, cfg) == pytest.approx(0.04)
+    assert lr_at(150, cfg) == pytest.approx(0.004)
+    assert lr_at(224, cfg) == pytest.approx(0.004)
+    assert lr_at(225, cfg) == pytest.approx(0.0004)
+    assert lr_at(299, cfg) == pytest.approx(0.0004)
 
 
 # -- evaluation ----------------------------------------------------------------------
@@ -314,14 +304,14 @@ def test_train_bwrf_requires_frozen_counterpart():
     fp = build_model(SPEC, "fp", seed=51)
     lp = build_model(SPEC, "lp", bits=4, seed=52)
     with pytest.raises(ValueError, match="frozen"):
-        train_bwrf(lp, fp, random_split(16), random_split(16), tiny_cfg(), LossWeights())
+        train_bwrf(lp, fp, random_split(16), random_split(16), tiny_cfg())
 
 
 def test_train_bwrf_rows_and_fp_integrity():
     lp, fp = make_pair(seed=61)
     before = fp.checksum()
     rows = train_bwrf(lp, fp, random_split(32, seed=62), random_split(16, seed=63),
-                      tiny_cfg(), LossWeights())
+                      tiny_cfg())
     assert fp.checksum() == before
     base_keys = {"epoch", "lr", "loss_total", "loss_target", "loss_distill",
                  "train_acc_Q", "acc_Q", "acc_M1", "acc_M2", "acc_F",
@@ -336,11 +326,11 @@ def test_train_bwrf_rows_and_fp_integrity():
 def test_train_bwrf_emits_cosine_columns_on_cadence():
     lp, fp = make_pair(seed=71)
     rows = train_bwrf(lp, fp, random_split(16, seed=72), random_split(16, seed=73),
-                      tiny_cfg(epochs=3, milestones=(), cos_every=2), LossWeights())
+                      tiny_cfg(epochs=3, milestones=(), cos_every=2))
     has_cos = ["cos_b1" in row for row in rows]
     assert has_cos == [True, True, True]  # epoch 1, cadence epoch 2, final epoch 3
     rows = train_bwrf(lp, fp, random_split(16, seed=72), random_split(16, seed=73),
-                      tiny_cfg(epochs=3, milestones=(), cos_every=3), LossWeights())
+                      tiny_cfg(epochs=3, milestones=(), cos_every=3))
     assert ["cos_b1" in row for row in rows] == [True, False, True]
 
 
@@ -348,7 +338,7 @@ def test_train_bwrf_is_deterministic():
     def run():
         lp, fp = make_pair(seed=81)
         rows = train_bwrf(lp, fp, random_split(32, seed=82), random_split(16, seed=83),
-                          tiny_cfg(augment=True), LossWeights())
+                          tiny_cfg(augment=True))
         return rows, lp.checksum()
 
     (rows_a, sum_a), (rows_b, sum_b) = run(), run()
@@ -364,7 +354,7 @@ def test_train_bwrf_audit_catches_frozen_drift():
 
     with pytest.raises(RuntimeError, match="drifted"):
         train_bwrf(lp, fp, random_split(16, seed=92), random_split(16, seed=93),
-                   tiny_cfg(epochs=2, milestones=()), LossWeights(), on_epoch=tamper)
+                   tiny_cfg(epochs=2, milestones=()), on_epoch=tamper)
 
 
 def test_train_bwrf_runs_the_teacher_once_and_walks_the_test_split_once_per_epoch(monkeypatch):
@@ -391,7 +381,7 @@ def test_train_bwrf_runs_the_teacher_once_and_walks_the_test_split_once_per_epoc
     monkeypatch.setattr(training, "train_step", marked_step)
     monkeypatch.setattr(BlockModel, "forward_collect", counted_forward_collect)
     rows = train_bwrf(lp, fp, random_split(16, seed=96), random_split(n_test, seed=97),
-                      cfg, LossWeights())
+                      cfg)
     batches = math.ceil(n_test / cfg.eval_batch_size)
     assert calls == {"fp": batches, "lp": cfg.epochs * batches}
     assert all("cos_g2" in row for row in rows)
@@ -411,6 +401,6 @@ def test_a_non_finite_quantizer_scale_stops_training_at_its_step(monkeypatch):
     saved = []
     with pytest.raises(NumericsError) as err:
         train_bwrf(lp, fp, random_split(32), random_split(16, seed=1), tiny_cfg(epochs=3),
-                   LossWeights(), on_epoch=lambda row, model: saved.append(row["epoch"]))
+                   on_epoch=lambda row, model: saved.append(row["epoch"]))
     assert str(err.value) == f"{name} is inf at epoch 2, step 1"
     assert saved == [1]
