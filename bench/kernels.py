@@ -8,7 +8,10 @@ Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward` and
 batch 128, plus the C = 3 stem conv and the two 1x1 stride-2 downsample
 convs. Every op runs taped with trainable parameters, as in a training
 step; its backward is the node's own rule, called on a fixed upstream
-gradient, accumulation into the inputs included. Each case runs once as a
+gradient, accumulation into the inputs included. Each conv also gets a
+`conv2d_input_grad` row (weight frozen; not for the stem, which reads
+images) and a `conv2d_weight_grad` row (input frozen), so the two halves
+of its backward are timed apart. Each case runs once as a
 warm-up, then REPS times; the table holds the median of each side.
 
 The `bwrf` package is imported from --src (default: this checkout's src/),
@@ -45,6 +48,9 @@ CONVS = tuple((f"c{c}x{e}", c, c, e, 3, 1, 1) for c, e in STAGES) + (
     ("down1x1_16to32", 16, 32, 32, 1, 2, 0),
     ("down1x1_32to64", 32, 64, 16, 1, 2, 0),
 )
+# (op, input takes a gradient, weight takes a gradient)
+CONV_OPS = (("conv2d", True, True), ("conv2d_input_grad", True, False),
+            ("conv2d_weight_grad", False, True))
 
 
 def git_commit(path: str) -> str:
@@ -68,11 +74,14 @@ def cases(batch: int, rng):
     def draw(*shape):
         return rng.standard_normal(shape).astype(np.float32)
 
-    for name, c, o, e, k, s, p in CONVS:
-        x = Tensor(draw(batch, c, e, e), requires_grad=c != 3)  # the stem reads images
-        w = Tensor(draw(o, c, k, k) * 0.1, requires_grad=True)
-        yield "conv2d", name, [batch, c, e, e, o, k, s, p], (x, w), \
-            lambda x=x, w=w, s=s, p=p: T.conv2d(x, w, stride=s, padding=p)
+    for op, x_grad, w_grad in CONV_OPS:
+        for name, c, o, e, k, s, p in CONVS:
+            if c == 3 and not w_grad:
+                continue  # the stem reads images: it has no input gradient
+            x = Tensor(draw(batch, c, e, e), requires_grad=x_grad and c != 3)
+            w = Tensor(draw(o, c, k, k) * 0.1, requires_grad=w_grad)
+            yield op, name, [batch, c, e, e, o, k, s, p], (x, w), \
+                lambda x=x, w=w, s=s, p=p: T.conv2d(x, w, stride=s, padding=p)
     for c, e in STAGES:
         v = Tensor(np.maximum(draw(batch, c, e, e), 0), requires_grad=True)
         q = quantizer.Quantizer(4, signed=False)
@@ -129,7 +138,7 @@ def main(argv=None) -> int:
         fwd, bwd = measure(run, inputs, reps, rng)
         rows.append({"op": op, "case": case, "shape": shape,
                      "fwd_ms": round(fwd * 1e3, 3), "bwd_ms": round(bwd * 1e3, 3)})
-        print(f"{op:17s} {case:15s} fwd {fwd * 1e3:9.3f} ms  bwd {bwd * 1e3:9.3f} ms")
+        print(f"{op:18s} {case:15s} fwd {fwd * 1e3:9.3f} ms  bwd {bwd * 1e3:9.3f} ms")
     context = {**perfbench.machine_context(), "commit": git_commit(src)}
     table = {"schema": "bwrf-kernels/1", "runs": {}}
     if os.path.exists(args.out):

@@ -52,6 +52,10 @@ def load_frozen_fp(cfg: RunConfig, spec: BlockSpec, path: str):
 def load_splits(cfg: RunConfig):
     loader = load_cifar10 if cfg.data_format == "cifar10" else load_idx_dir
     train, test = loader(cfg.data_dir, cfg.normalize_mean, cfg.normalize_std)
+    for name, split in (("train", train), ("test", test)):
+        bad = split.labels[(split.labels < 0) | (split.labels >= cfg.num_classes)]
+        if bad.size:
+            raise DataError(f"{name} split has label {int(bad[0])} outside 0..{cfg.num_classes - 1}")
     if cfg.subset_fraction < 1.0:
         train = subset(train, cfg.subset_fraction, cfg.subset_seed)
         test = subset(test, cfg.subset_fraction, cfg.subset_seed)

@@ -166,9 +166,12 @@ def total_loss(g: GraftOutput, labels: np.ndarray, cfg):
     return T.add(lt, ld), lt, ld
 
 
-def top1_percent(logits: Tensor, labels: np.ndarray) -> float:
-    pred = logits.data.argmax(axis=1)
-    return float((pred == labels).mean() * 100.0)
+def hit_counts(logits: np.ndarray, labels: np.ndarray) -> tuple:
+    """(top-1, top-5) hit counts of one batch, as Python ints."""
+    k = min(5, logits.shape[1])
+    top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
+    return (int((logits.argmax(axis=1) == labels).sum()),
+            int((top == labels[:, None]).any(axis=1).sum()))
 
 
 def train_step(lp, fp, batch, cfg, optimizer) -> dict:
@@ -192,5 +195,5 @@ def train_step(lp, fp, batch, cfg, optimizer) -> dict:
         "loss_total": loss.item(),
         "loss_target": lt.item(),
         "loss_distill": ld.item(),
-        "train_acc_Q": top1_percent(g.y_q, labels),
+        "train_acc_Q": hit_counts(g.y_q.data, labels)[0] / len(labels) * 100.0,
     }

@@ -19,9 +19,10 @@ cache; the reduction order is unchanged by the tiling, since every output
 row's sum over K and every tap order is the same, provided the BLAS
 computes a GEMM row the same way whatever the row count. OpenBLAS
 0.3.31's SkylakeX kernels do for the network's shapes, and were seen not
-to for N in {3, 8} with K >= 32. The backward is not tiled: a tiled
-weight gradient would split its sum over rows, and a tiled input gradient
-measured no faster.
+to for N in {3, 8} with K >= 32. The forward keeps no copy of its input;
+the weight gradient pads its own from the input node it already holds.
+The backward is not tiled: a tiled weight gradient would split its sum
+over rows, and a tiled input gradient measured no faster.
 
 Batchnorm centres its input once, for the variance and for xhat, and
 reuses two buffers in its backward; a first gradient arrival is written
@@ -281,20 +282,16 @@ def _taps(kh, kw, stride, oh, ow):
 CONV_TILE = 3
 
 
-def _conv2d_forward(x, w, b, stride, padding, keep_padded):
+def _conv2d_forward(x, w, b, stride, padding):
     """NCHW conv as kh*kw accumulated GEMMs over shifted NHWC views, one
-    batch tile of CONV_TILE images at a time.
-
-    Returns (out, xp): the NCHW output and the padded channels-last input,
-    all of it, (N, H+2p, W+2p, C), if keep_padded (the weight gradient
-    reads it back), else the one tile-sized buffer every tile went through.
-    """
+    batch tile of CONV_TILE images at a time through one tile-sized padded
+    buffer. Returns the NCHW output only."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     oh = _conv_out_size(h, kh, stride, padding)
     ow = _conv_out_size(wd, kw, stride, padding)
     t = min(n, CONV_TILE)
-    xp = np.zeros((n if keep_padded else t, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp = np.zeros((t, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
     wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, O)
     tap = np.empty((t, oh, ow, c), dtype=x.dtype)
     acc = np.empty((t * oh * ow, o), dtype=x.dtype)
@@ -303,7 +300,7 @@ def _conv2d_forward(x, w, b, stride, padding, keep_padded):
     for i in range(0, n, t):
         m = min(t, n - i)
         r = m * oh * ow
-        xt = xp[i:i + m] if keep_padded else xp[:m]
+        xt = xp[:m]
         xt[:, padding:padding + h, padding:padding + wd, :] = x[i:i + m].transpose(0, 2, 3, 1)
         for j, (ki, kj, rows, cols) in enumerate(_taps(kh, kw, stride, oh, ow)):
             np.copyto(tap[:m], xt[:, rows, cols, :])
@@ -313,7 +310,7 @@ def _conv2d_forward(x, w, b, stride, padding, keep_padded):
         if b is not None:
             acc[:r] += b
         out[i:i + m] = acc[:r].reshape(m, oh, ow, o).transpose(0, 3, 1, 2)
-    return out, xp
+    return out
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
@@ -323,11 +320,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     The kernel works channels-last, one batch tile of CONV_TILE images at
     a time: the tile is padded into an NHWC buffer, each of the kh*kw taps
     adds one GEMM with K = C over a strided view of it, and the tile's
-    result is written straight into the NCHW output. A conv whose weight
-    takes a gradient on the tape pads the whole batch instead, because the
-    weight gradient of a tap is one ``gout.T @ view`` over all N*OH*OW
-    rows. The input gradient adds ``gout @ W_tap`` into a padded NHWC
-    buffer that is cropped at the end.
+    result is written straight into the NCHW output; no copy of the input
+    is kept. The weight gradient pads the whole input batch again in its
+    own branch of the backward, because a tap's gradient is one
+    ``gout.T @ view`` over all N*OH*OW rows. The input gradient adds
+    ``gout @ W_tap`` into a padded NHWC buffer that is cropped at the end.
     Activations and weights stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:
@@ -351,22 +348,19 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
         raise ValueError(f"conv2d: kernel {kh}x{kw} does not fit {h}x{wd} input at padding {padding}")
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    # The padded input is only needed for the weight gradient; frozen-weight
-    # convs and untaped ones keep none, so graft branches through the frozen
-    # model do not retain every activation buffer.
-    keep_padded = recording(inputs) and weight.requires_grad
-    out_data, xp = _conv2d_forward(x.data, weight.data, bias.data if bias is not None else None,
-                                   stride, padding, keep_padded)
-    saved_xp = xp if keep_padded else None
+    out_data = _conv2d_forward(x.data, weight.data, bias.data if bias is not None else None,
+                               stride, padding)
 
     def grad_fn(g):
         gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
         gx = gw = gb = None
         if weight.requires_grad:
+            xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.data.dtype)
+            xp[:, padding:padding + h, padding:padding + wd, :] = x.data.transpose(0, 2, 3, 1)
             gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
-            tap = np.empty((n, oh, ow, c), dtype=saved_xp.dtype)
+            tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
             for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
-                np.copyto(tap, saved_xp[:, rows, cols, :])
+                np.copyto(tap, xp[:, rows, cols, :])
                 np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
             gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:

@@ -5,8 +5,9 @@ Weight decay is never applied to batchnorm parameters or quantizer scales,
 and scales are re-clamped positive after every step. The schedule divides
 the base learning rate by a fixed factor at each passed milestone. The
 epoch loop stops at the first non-finite loss or quantizer scale.
-Evaluation is two tape-free walks with one top-1/top-5 rule: ``model_pass``
-scores one model, ``evaluate_branches`` Q and every graft M_k off one LP pass.
+Evaluation is two tape-free walks: ``model_pass`` scores one model,
+``evaluate_branches`` Q and every graft M_k off one LP pass. Both count hits
+with ``graft.hit_counts``, the top-1/top-5 rule train_acc_Q also reads.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from bwrf import tensor as T
 from bwrf.config import loss_switches_off
 from bwrf.data import Split, iter_batches
-from bwrf.graft import train_step
+from bwrf.graft import hit_counts, train_step
 from bwrf.quantizer import SCALE_FLOOR
 from bwrf.tensor import Tensor
 
@@ -74,14 +75,6 @@ def lr_at(epoch: int, cfg) -> float:
 # -- evaluation --------------------------------------------------------------------
 
 
-def _hits(logits: np.ndarray, labels: np.ndarray) -> tuple:
-    """(top-1, top-5) hit counts of one batch, as Python ints."""
-    k = min(5, logits.shape[1])
-    top = np.argpartition(-logits, k - 1, axis=1)[:, :k]
-    return (int((logits.argmax(axis=1) == labels).sum()),
-            int((top == labels[:, None]).any(axis=1).sum()))
-
-
 def model_pass(model, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
     """((top-1, top-5) percentages of one model, per leading batch its block
     features of the rows among the first n_rows images), from one tape-free
@@ -96,7 +89,7 @@ def model_pass(model, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
             features, logits = model.forward_collect(Tensor(images))
             if len(leading) * batch_size < n_rows:
                 leading.append([f.data[:n_rows - len(leading) * batch_size] for f in features])
-            h1, h5 = _hits(logits.data, labels)
+            h1, h5 = hit_counts(logits.data, labels)
             hit1, hit5 = hit1 + h1, hit5 + h5
     n = len(split)
     return (100.0 * hit1 / n, 100.0 * hit5 / n), leading
@@ -124,7 +117,7 @@ def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> 
             branches = [("Q", y_q)] + [(f"M{k}", fp.forward_from_block(h, k + 1))
                                        for k, h in enumerate(grafts, start=1)]
             for name, logits in branches:
-                for key, h in zip((f"acc_{name}", f"top5_{name}"), _hits(logits.data, labels)):
+                for key, h in zip((f"acc_{name}", f"top5_{name}"), hit_counts(logits.data, labels)):
                     hits[key] = hits.get(key, 0) + h
             if j < len(leading):
                 pairs = [(f"cos_b{i}", f, leading[j][i - 1]) for i, f in enumerate(f_lp, 1)]

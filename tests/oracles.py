@@ -460,7 +460,6 @@ def train_fp_plain_ce(model, train_split, test_split, cfg, on_epoch=None):
     step per batch, then an eval-mode top-1 count over the test split.
     Optimizer, schedule and batching come from bwrf."""
     from bwrf.data import iter_batches
-    from bwrf.graft import top1_percent
     from bwrf.training import SGD, lr_at
 
     opt = SGD(model.param_groups(), lr=cfg.lr, momentum=cfg.momentum,
@@ -480,7 +479,7 @@ def train_fp_plain_ce(model, train_split, test_split, cfg, on_epoch=None):
             loss.backward()
             opt.step()
             losses.append(loss.item())
-            accs.append(top1_percent(logits, labels))
+            accs.append(float((logits.data.argmax(axis=1) == labels).mean() * 100.0))
         model.eval()
         hits = 0
         with T.no_grad():

@@ -12,6 +12,9 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "bench", "kernels.py")
 CASES = {
     "conv2d": {"c16x32", "c32x16", "c64x8", "stem", "down1x1_16to32", "down1x1_32to64"},
+    "conv2d_input_grad": {"c16x32", "c32x16", "c64x8", "down1x1_16to32", "down1x1_32to64"},
+    "conv2d_weight_grad": {"c16x32", "c32x16", "c64x8", "stem", "down1x1_16to32",
+                           "down1x1_32to64"},
     "quantize_forward": {"c16x32", "c32x16", "c64x8"},
     "batchnorm2d": {"c16x32", "c32x16", "c64x8"},
 }

@@ -263,6 +263,33 @@ output_dir = {tmp_path}/out
     assert not (tmp_path / "out" / "fp.ckpt").exists()
 
 
+@pytest.mark.parametrize("split", ["train", "test"])
+def test_exit_code_3_on_labels_outside_num_classes(tmp_path, split, capsys):
+    from bwrf.data import write_idx
+
+    data = tmp_path / "data"
+    data.mkdir()
+    for name in ("train", "test"):
+        labels = np.arange(16) % 5
+        if name == split:
+            labels[3] = 7
+        write_idx(str(data / f"{name}-images-idx3-ubyte"), str(data / f"{name}-labels-idx1-ubyte"),
+                  np.zeros((16, 16, 16), np.uint8), labels)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"""
+arch = resnet8
+data_format = idx
+data_dir = {data}
+num_classes = 5
+epochs = 1
+milestones =
+output_dir = {tmp_path}/out
+""")
+    assert entry(["train-fp", "--config", str(cfg)]) == 3
+    assert f"{split} split has label 7 outside 0..4" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "fp.ckpt").exists()
+
+
 def test_exit_code_4_on_checkpoint_errors(tmp_path, idx_dir, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"""

@@ -56,7 +56,7 @@ def check_conv(n, c, o, k, s, p, extent, bias, seed):
     if bias:
         assert_same_bytes(bt.grad, first_arrival(bt, ref_gb), "gb")
 
-    # frozen weight and untaped: the tile-sized padded buffer, same output
+    # frozen weight and untaped: the same tile-sized forward, same output
     frozen = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), bt, stride=s, padding=p)
     assert_same_bytes(frozen.data, ref_out, "frozen-weight out")
     with T.no_grad():

@@ -2,6 +2,7 @@
 vs central finite differences, graph bookkeeping (accumulation, detach),
 and error handling."""
 
+import contextlib
 import gc
 import weakref
 
@@ -61,65 +62,60 @@ def test_conv_random_vs_bruteforce(stride, padding, k, extent):
     np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
 
 
-def test_conv_frozen_weight_drops_padded_input(monkeypatch):
-    """Only the weight gradient reads the padded input, so a frozen-weight
-    conv must free it after the forward; a trainable one must keep it,
-    unless it runs under no_grad, where no node is wired at all."""
-    padded = []
-    forward = T._conv2d_forward
+class AllocationSpy:
+    """numpy, recording every buffer its allocators hand out."""
 
-    def spy(*args):
-        out, xp = forward(*args)
-        padded.append(weakref.ref(xp))
-        return out, xp
+    def __init__(self):
+        self.made = []
 
-    monkeypatch.setattr(T, "_conv2d_forward", spy)
-    x = Tensor(np.ones((2, 3, 6, 6), np.float32), requires_grad=True)
-    w = np.ones((4, 3, 3, 3), np.float32)
-    frozen = T.conv2d(x, Tensor(w), padding=1)
-    trained = T.conv2d(x, Tensor(w, requires_grad=True), padding=1)
-    with T.no_grad():
-        untaped = T.conv2d(x, Tensor(w, requires_grad=True), padding=1)
-    gc.collect()
-    assert frozen._grad_fn is not None and trained._grad_fn is not None
-    assert padded[0]() is None, "frozen-weight conv keeps its padded input alive"
-    assert padded[1]() is not None
-    assert untaped._grad_fn is None and not untaped.requires_grad
-    assert padded[2]() is None, "conv under no_grad keeps its padded input alive"
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in ("empty", "zeros", "empty_like", "zeros_like"):
+            return fn
+
+        def allocate(*args, **kwargs):
+            arr = fn(*args, **kwargs)
+            self.made.append(weakref.ref(arr))
+            return arr
+
+        return allocate
+
+    def alive(self):
+        gc.collect()
+        return [r() for r in self.made if r() is not None]
+
+
+@pytest.mark.parametrize("case", ["frozen", "trainable", "untaped"])
+def test_conv_forward_keeps_no_buffer_alive(monkeypatch, case):
+    """The forward pads each batch tile into one buffer and keeps no copy of
+    its input, whether the weight is frozen, trains, or runs under no_grad:
+    no buffer it allocates outlives it except the output."""
+    x = Tensor(np.ones((2 * T.CONV_TILE + 1, 3, 6, 6), np.float32), requires_grad=True)
+    w = Tensor(np.ones((4, 3, 3, 3), np.float32), requires_grad=case != "frozen")
+    spy = AllocationSpy()
+    monkeypatch.setattr(T, "np", spy)
+    with T.no_grad() if case == "untaped" else contextlib.nullcontext():
+        out = T.conv2d(x, w, padding=1)
+    monkeypatch.undo()
+    assert (out._grad_fn is None) == (case == "untaped")
+    assert len(spy.made) >= 4, "the spy saw no forward buffer"
+    assert all(a is out.data for a in spy.alive()), "a conv forward buffer outlives the forward"
 
 
 def test_conv_backward_keeps_no_buffer_alive(monkeypatch):
     """The input gradient runs through a padded buffer and the weight
-    gradient through a tap copy; none of them may outlive the backward,
-    only the two gradients it stores."""
-    made = []
-
-    class SpyNumpy:
-        """numpy, recording every buffer its allocators hand out."""
-
-        def __getattr__(self, name):
-            fn = getattr(np, name)
-            if name not in ("empty", "zeros", "empty_like", "zeros_like"):
-                return fn
-
-            def allocate(*args, **kwargs):
-                arr = fn(*args, **kwargs)
-                made.append(weakref.ref(arr))
-                return arr
-
-            return allocate
-
+    gradient through its own padded input and a tap copy; none of them may
+    outlive the backward, only the two gradients it stores."""
     x = Tensor(np.ones((2 * T.CONV_TILE + 1, 3, 6, 6), np.float32), requires_grad=True)
     w = Tensor(np.ones((4, 3, 3, 3), np.float32), requires_grad=True)
     out = T.conv2d(x, w, padding=1)
-    monkeypatch.setattr(T, "np", SpyNumpy())
+    spy = AllocationSpy()
+    monkeypatch.setattr(T, "np", spy)
     out._grad_fn(np.ones(out.shape, np.float32))
     monkeypatch.undo()
-    gc.collect()
     assert x.grad is not None and w.grad is not None
-    assert len(made) >= 4, "the spy saw no backward buffer"
-    alive = [r() for r in made if r() is not None]
-    assert all(a is x.grad or a is w.grad for a in alive), \
+    assert len(spy.made) >= 4, "the spy saw no backward buffer"
+    assert all(a is x.grad or a is w.grad for a in spy.alive()), \
         "a conv backward buffer outlives the backward"
 
 
