@@ -5,14 +5,15 @@ training tape, at the resnet stage shapes.
 
 Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward` and
 `bwrf.tensor.batchnorm2d` (train mode) at 16x32^2, 32x16^2 and 64x8^2,
-batch 128, plus the C = 3 stem conv and the two 1x1 stride-2 downsample
-convs. Every op runs taped with trainable parameters, as in a training
-step; its backward is the node's own rule, called on a fixed upstream
-gradient, accumulation into the inputs included. Each conv also gets a
-`conv2d_input_grad` row (weight frozen; not for the stem, which reads
-images) and a `conv2d_weight_grad` row (input frozen), so the two halves
-of its backward are timed apart. Each case runs once as a
-warm-up, then REPS times; the table holds the median of each side.
+batch 128, plus the two 3x3 stride-2 convs that open stages 2 and 3, the
+C = 3 stem conv and the two 1x1 stride-2 downsample convs. Every op runs
+taped with trainable parameters, as in a training step; its backward is
+the node's own rule, called on a fixed upstream gradient, accumulation
+into the inputs included. Each conv also gets a `conv2d_input_grad` row
+(weight frozen; not for the stem, which reads images) and a
+`conv2d_weight_grad` row (input frozen), so the two halves of its
+backward are timed apart. Each case runs once as a warm-up, then REPS
+times; the table holds the median of each side.
 
 The `bwrf` package is imported from --src (default: this checkout's src/),
 so the same script measures two checkouts on one machine. The run is
@@ -44,6 +45,8 @@ REPS = 9
 STAGES = ((16, 32), (32, 16), (64, 8))  # (channels, spatial extent)
 # (name, in channels, out channels, extent, kernel, stride, padding)
 CONVS = tuple((f"c{c}x{e}", c, c, e, 3, 1, 1) for c, e in STAGES) + (
+    ("c16to32s2", 16, 32, 32, 3, 2, 1),
+    ("c32to64s2", 32, 64, 16, 3, 2, 1),
     ("stem", 3, 16, 32, 3, 1, 1),
     ("down1x1_16to32", 16, 32, 32, 1, 2, 0),
     ("down1x1_32to64", 32, 64, 16, 1, 2, 0),

@@ -9,20 +9,19 @@ consumed it.
 
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
-so repeated runs in one environment are bit-identical. A kh x kw
-convolution sums kh*kw GEMMs with K = C (one per kernel tap, in row-major
-tap order), not one GEMM with K = kh*kw*C; its weight gradient is one
-GEMM per tap over the N*OH*OW output positions, and its input gradient
-adds the taps' contributions in the same tap order. The forward runs one
-batch tile (CONV_TILE images) at a time so each tile's buffers stay in
-cache; the reduction order is unchanged by the tiling, since every output
-row's sum over K and every tap order is the same, provided the BLAS
-computes a GEMM row the same way whatever the row count. OpenBLAS
-0.3.31's SkylakeX kernels do for the network's shapes, and were seen not
-to for N in {3, 8} with K >= 32. The forward keeps no copy of its input;
-the weight gradient pads its own from the input node it already holds.
-The backward is not tiled: a tiled weight gradient would split its sum
-over rows, and a tiled input gradient measured no faster.
+so repeated runs in one environment are bit-identical. A kh x kw conv sums
+kh*kw GEMMs with K = C, one per tap in row-major order, one batch tile of
+CONV_TILE images at a time so the tile's buffers stay in cache. Its input
+gradient is the same kernel over g dilated by the stride, taps in the same
+order: each input position sums the terms a scatter of ``g @ W_tap``
+would, in the same order, plus exact zeros. Those GEMMs have N = C_in (16,
+32 or 64; the stem takes no input gradient). The weight gradient is one
+untiled GEMM per tap over all N*OH*OW rows, as tiling would split its sum.
+Tiling keeps each row's sum provided the BLAS computes a GEMM row the same
+way whatever the row count: OpenBLAS 0.3.31's SkylakeX kernels do for the
+network's shapes, not for N in {3, 8} with K >= 32, and numpy sends a
+one-row matmul to gemv, which rounds differently at K = 64. The forward
+keeps no copy of its input; the weight gradient pads its own.
 
 Batchnorm centres its input once, for the variance and for xhat, and
 reuses two buffers in its backward; a first gradient arrival is written
@@ -262,53 +261,54 @@ def relu(t: Tensor) -> Tensor:
 # -- linear operators --------------------------------------------------------
 
 
-def _conv_out_size(extent: int, kernel: int, stride: int, padding: int) -> int:
-    return (extent + 2 * padding - kernel) // stride + 1
+def _window(a, di, dj, stride, oh, ow):
+    """The oh x ow window of NHWC a whose corner is (di, dj), every stride-th pixel."""
+    return a[:, di:di + stride * (oh - 1) + 1:stride, dj:dj + stride * (ow - 1) + 1:stride, :]
 
 
-def _taps(kh, kw, stride, oh, ow):
-    """(ki, kj, rows, cols): each kernel tap's strided window of the padded input."""
-    for ki in range(kh):
-        for kj in range(kw):
-            yield (ki, kj, slice(ki, ki + stride * (oh - 1) + 1, stride),
-                   slice(kj, kj + stride * (ow - 1) + 1, stride))
+def _landing(offset, step, extent, size):
+    """(source, buffer) slices putting source i at offset + step * i in [0, size)."""
+    first = max(0, -(offset // step))
+    stop = max(first, min(extent, -((offset - size) // step)))
+    return slice(first, stop), slice(offset + step * first, offset + step * stop, step)
 
 
-# Images per conv batch tile. A tile's padded input, tap copy and two GEMM
-# results take about 270 KB per image at the largest stage (16 x 32^2), so
-# a tile stays well inside a 2 MB L2 at every stage. Measured on one
-# AVX-512 core (OpenBLAS 0.3.31, batch 128, the six resnet conv shapes),
+# Images per conv batch tile. A tile's buffer, tap copy and two GEMM
+# results take at most about 410 KB per image (the input gradient of the
+# 16 -> 32 stride-2 conv at 32^2), so a tile stays inside a 2 MB L2. On one
+# AVX-512 core (OpenBLAS 0.3.31, batch 128, the six resnet conv forwards),
 # 3 images beat 2, 4, 6, 8 and 12.
 CONV_TILE = 3
 
 
-def _conv2d_forward(x, w, b, stride, padding):
-    """NCHW conv as kh*kw accumulated GEMMs over shifted NHWC views, one
-    batch tile of CONV_TILE images at a time through one tile-sized padded
-    buffer. Returns the NCHW output only."""
-    n, c, h, wd = x.shape
-    o, _, kh, kw = w.shape
-    oh = _conv_out_size(h, kh, stride, padding)
-    ow = _conv_out_size(wd, kw, stride, padding)
+def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step, bias=None):
+    """The conv kernel: each tile of CONV_TILE NCHW ``src`` images goes
+    channels-last into a zeroed ``buf_hw`` buffer, pixel (i, j) at offset +
+    step * (i, j); each tap (C-contiguous (C, O) weight, (di, dj)), in order,
+    adds one GEMM over the ``out_hw`` window at (di, dj) with this stride."""
+    n, c = src.shape[:2]
+    oh, ow = out_hw
+    o = taps[0][0].shape[1]
     t = min(n, CONV_TILE)
-    xp = np.zeros((t, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
-    wt = np.ascontiguousarray(w.transpose(2, 3, 1, 0))  # (kh, kw, C, O)
-    tap = np.empty((t, oh, ow, c), dtype=x.dtype)
-    acc = np.empty((t * oh * ow, o), dtype=x.dtype)
+    buf = np.zeros((t, *buf_hw, c), dtype=src.dtype)
+    src_rows, buf_rows = _landing(offset[0], step, src.shape[2], buf_hw[0])
+    src_cols, buf_cols = _landing(offset[1], step, src.shape[3], buf_hw[1])
+    tap = np.empty((t, oh, ow, c), dtype=src.dtype)
+    acc = np.empty((t * oh * ow, o), dtype=src.dtype)
     part = np.empty_like(acc)
-    out = np.empty((n, o, oh, ow), dtype=x.dtype)
+    out = np.empty((n, o, oh, ow), dtype=src.dtype)
     for i in range(0, n, t):
         m = min(t, n - i)
         r = m * oh * ow
-        xt = xp[:m]
-        xt[:, padding:padding + h, padding:padding + wd, :] = x[i:i + m].transpose(0, 2, 3, 1)
-        for j, (ki, kj, rows, cols) in enumerate(_taps(kh, kw, stride, oh, ow)):
-            np.copyto(tap[:m], xt[:, rows, cols, :])
-            np.matmul(tap[:m].reshape(r, c), wt[ki, kj], out=part[:r] if j else acc[:r])
+        bt = buf[:m]
+        bt[:, buf_rows, buf_cols, :] = src[i:i + m, :, src_rows, src_cols].transpose(0, 2, 3, 1)
+        for j, (wtap, (di, dj)) in enumerate(taps):
+            np.copyto(tap[:m], _window(bt, di, dj, stride, oh, ow))
+            np.matmul(tap[:m].reshape(r, c), wtap, out=part[:r] if j else acc[:r])
             if j:
                 acc[:r] += part[:r]
-        if b is not None:
-            acc[:r] += b
+        if bias is not None:
+            acc[:r] += bias
         out[i:i + m] = acc[:r].reshape(m, oh, ow, o).transpose(0, 3, 1, 2)
     return out
 
@@ -317,15 +317,11 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2d cross-correlation over NCHW input with an OIkk kernel.
 
-    The kernel works channels-last, one batch tile of CONV_TILE images at
-    a time: the tile is padded into an NHWC buffer, each of the kh*kw taps
-    adds one GEMM with K = C over a strided view of it, and the tile's
-    result is written straight into the NCHW output; no copy of the input
-    is kept. The weight gradient pads the whole input batch again in its
-    own branch of the backward, because a tap's gradient is one
-    ``gout.T @ view`` over all N*OH*OW rows. The input gradient adds
-    ``gout @ W_tap`` into a padded NHWC buffer that is cropped at the end.
-    Activations and weights stay NCHW / OIkk outside this function.
+    The forward runs ``_conv2d_tiles`` over the padded input, the input
+    gradient over g with stride - 1 zeros between its pixels, at stride 1.
+    The weight gradient pads the whole input batch itself: a tap's gradient
+    is one ``gout.T @ view`` over all N*OH*OW rows. Activations and weights
+    stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be NCHW, got {x.ndim}d shape {x.shape}")
@@ -342,38 +338,40 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     n, _, h, wd = x.shape
     o, c, kh, kw = weight.shape
-    oh = _conv_out_size(h, kh, stride, padding)
-    ow = _conv_out_size(wd, kw, stride, padding)
+    oh = (h + 2 * padding - kh) // stride + 1
+    ow = (wd + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} does not fit {h}x{wd} input at padding {padding}")
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    out_data = _conv2d_forward(x.data, weight.data, bias.data if bias is not None else None,
-                               stride, padding)
+    offsets = [(ki, kj) for ki in range(kh) for kj in range(kw)]
+    wt = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
+    out_data = _conv2d_tiles(x.data, list(zip(wt, offsets)), stride, (oh, ow),
+                             (h + 2 * padding, wd + 2 * padding), (padding, padding), 1,
+                             bias.data if bias is not None else None)
 
     def grad_fn(g):
-        gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
         gx = gw = gb = None
+        if weight.requires_grad or (bias is not None and bias.requires_grad):
+            gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
         if weight.requires_grad:
             xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.data.dtype)
             xp[:, padding:padding + h, padding:padding + wd, :] = x.data.transpose(0, 2, 3, 1)
             gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
             tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
-            for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
-                np.copyto(tap, xp[:, rows, cols, :])
+            for ki, kj in offsets:
+                np.copyto(tap, _window(xp, ki, kj, stride, oh, ow))
                 np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
             gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
         if bias is not None and bias.requires_grad:
             gb = gout.sum(axis=0)
         if x.requires_grad:
-            wk = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
-            gxp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=g.dtype)
-            part = np.empty((n * oh * ow, c), dtype=g.dtype)
-            for ki, kj, rows, cols in _taps(kh, kw, stride, oh, ow):
-                np.matmul(gout, wk[ki, kj], out=part)
-                gxp[:, rows, cols, :] += part.reshape(n, oh, ow, c)
-            gx = np.ascontiguousarray(
-                gxp[:, padding:padding + h, padding:padding + wd, :].transpose(0, 3, 1, 2))
+            # a stride-1 conv over g dilated by the stride: tap (ki, kj), in
+            # the forward's order, reads the window at (kh-1-ki, kw-1-kj)
+            wk = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+            gx = _conv2d_tiles(g, list(zip(wk, offsets[::-1])), 1, (h, wd),
+                               (h + kh - 1, wd + kw - 1), (kh - 1 - padding, kw - 1 - padding),
+                               stride)
         return (gx, gw) if bias is None else (gx, gw, gb)
 
     return custom_op("conv2d", out_data, inputs, grad_fn)

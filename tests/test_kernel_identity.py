@@ -38,29 +38,31 @@ CONV_GEOMETRIES = {
 TILE_BATCHES = (1, T.CONV_TILE - 1, T.CONV_TILE + 1, 2 * T.CONV_TILE + 3)
 
 
-def check_conv(n, c, o, k, s, p, extent, bias, seed):
+def check_conv(n, c, o, k, s, p, extent, bias, seed, compare=assert_same_bytes):
+    """k and extent are an int or a (rows, columns) pair."""
+    (kh, kw), (h, wd) = np.broadcast_to(k, 2), np.broadcast_to(extent, 2)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, c, extent, extent)).astype(np.float32)
-    w = (rng.standard_normal((o, c, k, k)) * 0.2).astype(np.float32)
+    x = rng.standard_normal((n, c, h, wd)).astype(np.float32)
+    w = (rng.standard_normal((o, c, kh, kw)) * 0.2).astype(np.float32)
     b = rng.standard_normal(o).astype(np.float32) if bias else None
-    oh = (extent + 2 * p - k) // s + 1
-    g = rng.standard_normal((n, o, oh, oh)).astype(np.float32)
+    oh, ow = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
+    g = rng.standard_normal((n, o, oh, ow)).astype(np.float32)
     ref_out, ref_gx, ref_gw, ref_gb = oracles.conv2d_one_pass(x, w, b, s, p, g)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True) if bias else None
     out = T.conv2d(xt, wt, bt, stride=s, padding=p)
     out._grad_fn(g)
-    assert_same_bytes(out.data, ref_out, "out")
-    assert_same_bytes(xt.grad, first_arrival(xt, ref_gx), "gx")
-    assert_same_bytes(wt.grad, first_arrival(wt, ref_gw), "gw")
+    compare(out.data, ref_out, "out")
+    compare(xt.grad, first_arrival(xt, ref_gx), "gx")
+    compare(wt.grad, first_arrival(wt, ref_gw), "gw")
     if bias:
-        assert_same_bytes(bt.grad, first_arrival(bt, ref_gb), "gb")
+        compare(bt.grad, first_arrival(bt, ref_gb), "gb")
 
     # frozen weight and untaped: the same tile-sized forward, same output
     frozen = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), bt, stride=s, padding=p)
-    assert_same_bytes(frozen.data, ref_out, "frozen-weight out")
+    compare(frozen.data, ref_out, "frozen-weight out")
     with T.no_grad():
-        assert_same_bytes(T.conv2d(xt, wt, bt, stride=s, padding=p).data, ref_out, "no_grad out")
+        compare(T.conv2d(xt, wt, bt, stride=s, padding=p).data, ref_out, "no_grad out")
 
 
 @pytest.mark.parametrize("n", TILE_BATCHES)
@@ -71,9 +73,67 @@ def test_conv2d_matches_the_one_pass_kernel(geometry, n):
     check_conv(n, c, o, k, s, p, extent=8, bias=True, seed=n + 100)
 
 
-@pytest.mark.parametrize("channels,extent", [(16, 32), (32, 16), (64, 8)])
-def test_conv2d_matches_the_one_pass_kernel_at_stage_shapes(channels, extent):
-    check_conv(2 * T.CONV_TILE + 3, channels, channels, 3, 1, 1, extent, bias=False, seed=channels)
+# (in channels, out channels, kernel, stride, padding, extent): every resnet
+# conv that takes an input gradient, at its stage's extent
+STAGE_CONVS = {
+    "16-32": (16, 16, 3, 1, 1, 32),
+    "32-16": (32, 32, 3, 1, 1, 16),
+    "64-8": (64, 64, 3, 1, 1, 8),
+    "k3s2-16to32-32": (16, 32, 3, 2, 1, 32),
+    "k3s2-32to64-16": (32, 64, 3, 2, 1, 16),
+    "k1s2-16to32-32": (16, 32, 1, 2, 0, 32),
+    "k1s2-32to64-16": (32, 64, 1, 2, 0, 16),
+}
+
+
+@pytest.mark.parametrize("geometry", STAGE_CONVS)
+def test_conv2d_matches_the_one_pass_kernel_at_stage_shapes(geometry):
+    c, o, k, s, p, extent = STAGE_CONVS[geometry]
+    check_conv(2 * T.CONV_TILE + 3, c, o, k, s, p, extent, bias=False, seed=c)
+
+
+# GEMMs with few rows: numpy's matmul was seen to round a strided weight view
+# differently from a contiguous one there, so every tap weight must stay
+# C-contiguous; numpy also sends a matmul with one row to BLAS gemv, which
+# rounds differently from gemm at K = 64. The tiled forward's last tile of
+# 2 * CONV_TILE + 1 images at 1x1 is one row, and so is the one-pass input
+# gradient's GEMM for one 32 -> 64 stride-2 image at 2x2: those two shapes
+# are compared for closeness, every other one byte for byte.
+SMALL_CONVS = {"k3s1c32": (32, 32, 3, 1, 1), "k3s1c64": (64, 64, 3, 1, 1),
+               "k3s2c32to64": (32, 64, 3, 2, 1)}
+GEMV_CASES = {("k3s1c64", 1, 2 * T.CONV_TILE + 1), ("k3s2c32to64", 2, 1)}
+SMALL_CASES = sorted({(geometry, extent, n) for geometry in SMALL_CONVS
+                      for extent in (1, 2) for n in (1, 2)} | GEMV_CASES)
+
+
+def assert_close(got, want, what):
+    assert got.dtype == want.dtype and got.shape == want.shape, what
+    np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6, err_msg=what)
+
+
+@pytest.mark.parametrize("geometry,extent,n", SMALL_CASES)
+def test_conv2d_matches_the_one_pass_kernel_at_small_extents(geometry, extent, n):
+    c, o, k, s, p = SMALL_CONVS[geometry]
+    compare = assert_close if (geometry, extent, n) in GEMV_CASES else assert_same_bytes
+    check_conv(n, c, o, k, s, p, extent, bias=True, seed=extent + 10 * n, compare=compare)
+
+
+# (in channels, out channels, kernel, stride, padding, extent): geometries
+# conv2d accepts that the network does not use
+ODD_CONVS = {
+    "padding_past_kernel": (5, 6, 1, 1, 1, 5),
+    "stride2_unread_rows": (5, 6, 3, 2, 0, 6),
+    "stride3_unread_rows": (5, 6, 3, 3, 2, (6, 5)),
+    "kernel1x3": (5, 6, (1, 3), 1, 1, (5, 6)),
+    "kernel3x1_stride2": (5, 6, (3, 1), 2, 0, (7, 6)),
+}
+
+
+@pytest.mark.parametrize("n", (1, T.CONV_TILE + 1))
+@pytest.mark.parametrize("geometry", ODD_CONVS)
+def test_conv2d_matches_the_one_pass_kernel_outside_the_network(geometry, n):
+    c, o, k, s, p, extent = ODD_CONVS[geometry]
+    check_conv(n, c, o, k, s, p, extent, bias=True, seed=n)
 
 
 # -- quantizer -----------------------------------------------------------------------
