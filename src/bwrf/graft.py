@@ -64,10 +64,19 @@ def graft_forward(lp_features: list, fp_model, k: int) -> Tensor:
 
 def bwrf_forward(lp, fp, x: Tensor, cfg) -> GraftOutput:
     """LP forward plus exactly the FP work cfg's enabled loss terms consume;
-    with every term off that is none, and fp may be None."""
+    with every term off that is none, and fp may be None.
+
+    The teacher's forward ``fp(x)`` runs on ``tensor.fork``'s helper while
+    the LP forward runs here, and is joined before the graft suffixes, which
+    call the same FP blocks (``Block.calls`` is not thread-safe). It is joined
+    even when the LP forward raises; an error of its own is raised as is.
+    """
     n = lp.n_blocks
-    lp_features, y_q = lp.forward_collect(x)
-    y_f = fp(x).detach() if cfg.use_fp_kd or cfg.use_mp_kd or cfg.use_avg_labels else None
+    teacher = T.fork(fp, x) if cfg.use_fp_kd or cfg.use_mp_kd or cfg.use_avg_labels else None
+    try:
+        lp_features, y_q = lp.forward_collect(x)
+    finally:
+        y_f = teacher().detach() if teacher else None
     y_m = [None] * (n - 1)
     if cfg.use_mp_targets or cfg.use_mp_kd or cfg.use_avg_labels:
         ks = range(1, n) if cfg.mp_branches is None else sorted(set(cfg.mp_branches))

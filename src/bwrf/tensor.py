@@ -32,15 +32,35 @@ Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
 their inputs; the public Tensor API stores float32. The finite-difference
 oracles do not use them: they difference independently written float64
 functions (tests/oracles.py).
+
+A helper thread, made by the first ``fork`` when the process may use a
+second CPU, runs the frozen teacher's forward beside the LP forward
+(``graft.bwrf_forward``) and the weight gradient of each conv whose input
+takes a gradient and whose weight is a node with a backward rule (a weight
+quantizer); ``fork`` runs inline with one CPU or on the helper itself. Such
+a conv gives its weight node a pending gradient, the job's join, which
+stays pending until the walk visits that node or a second gradient
+arrives. ``backward`` visits the nodes whose parents are all leaves last
+and resolves on the visit, so the helper's GEMMs run beside the rest of
+the walk. In the networks those nodes are the weight quantizers (and the
+stem's input quantizer): each gets one arrival and alone feeds its leaves,
+so the move reorders no sum, and the helper runs the same code on the same
+arrays. The helper must never enter ``no_grad``, whose flag is a module
+global.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 _grad_enabled = True
+HELPER = "bwrf-helper"  # the helper thread's name prefix
 
 
 @contextlib.contextmanager
@@ -52,6 +72,26 @@ def no_grad():
         yield
     finally:
         _grad_enabled = saved
+
+
+@functools.cache
+def _helper():
+    """The helper thread's executor, made on the first call; None when the
+    process may run on one CPU only."""
+    cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    return ThreadPoolExecutor(1, thread_name_prefix=HELPER) if len(cpus) > 1 else None
+
+
+def fork(fn, *args):
+    """Start fn(*args) on the helper thread and return its join, which waits
+    and returns the value or raises what fn raised. Runs fn inline when there
+    is no helper or when called on the helper, so a nested fork cannot wait
+    on itself."""
+    helper = _helper()
+    if helper is None or threading.current_thread().name.startswith(HELPER):
+        value = fn(*args)
+        return lambda: value
+    return helper.submit(fn, *args).result
 
 
 class Tensor:
@@ -146,14 +186,19 @@ class Tensor:
         The loss must be scalar. Each operation record in the graph is
         visited exactly once, in reverse topological order; multi-consumer
         nodes therefore receive their full summed gradient before their own
-        rule runs.
+        rule runs. The nodes whose parents are all leaves come last, in
+        their own order, and a pending gradient is resolved on the visit.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
         order = _reverse_topo(self)
+        late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
+        order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
         self.grad = np.ones_like(self.data)
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
+                if callable(node.grad):
+                    node.grad = _first_arrival(node, node.grad)
                 node._grad_fn(node.grad)
 
 
@@ -178,15 +223,23 @@ def _reverse_topo(root: Tensor):
     return order
 
 
+def _first_arrival(t: Tensor, g):
+    """One write of zeros + g into a fresh array of t's shape and dtype: g
+    may be shared with another input, and + 0.0 maps -0 to +0 as the zero
+    start would. A pending g (a join) is waited for first."""
+    return np.add(g() if callable(g) else g, 0.0, out=np.empty_like(t.data))
+
+
 def _accumulate(t: Tensor, g):
+    """Add one gradient arrival to t. A pending first arrival stays pending
+    on a node with a backward rule, until the walk visits it."""
     if t.requires_grad:
         if t.grad is None:
-            # one write of zeros + g into a fresh array of t's shape and
-            # dtype: g may be shared with another input, and + 0.0 maps -0
-            # to +0 as the zero start would
-            t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+            t.grad = g if callable(g) and t._grad_fn is not None else _first_arrival(t, g)
         else:
-            t.grad += g
+            if callable(t.grad):
+                t.grad = _first_arrival(t, t.grad)
+            t.grad += g() if callable(g) else g
 
 
 def recording(inputs) -> bool:
@@ -313,15 +366,33 @@ def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step, bias=None):
     return out
 
 
+def _conv2d_weight_grad(x, g, kh, kw, stride, padding):
+    """OIkk gradient of a conv's weight: the whole NCHW batch x padded
+    channels-last, then one ``gout.T @ window`` GEMM per tap in row-major
+    order over all N*OH*OW rows."""
+    n, c, h, wd = x.shape
+    o, oh, ow = g.shape[1:]
+    gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
+    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+    xp[:, padding:padding + h, padding:padding + wd, :] = x.transpose(0, 2, 3, 1)
+    gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
+    tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
+    for ki in range(kh):
+        for kj in range(kw):
+            np.copyto(tap, _window(xp, ki, kj, stride, oh, ow))
+            np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
+    return np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2d cross-correlation over NCHW input with an OIkk kernel.
 
     The forward runs ``_conv2d_tiles`` over the padded input, the input
     gradient over g with stride - 1 zeros between its pixels, at stride 1.
-    The weight gradient pads the whole input batch itself: a tap's gradient
-    is one ``gout.T @ view`` over all N*OH*OW rows. Activations and weights
-    stay NCHW / OIkk outside this function.
+    The weight gradient is ``_conv2d_weight_grad``, forked to the helper
+    when the input needs a gradient too and the weight is not a leaf.
+    Activations and weights stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:
         raise ValueError(f"conv2d: input must be NCHW, got {x.ndim}d shape {x.shape}")
@@ -352,19 +423,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def grad_fn(g):
         gx = gw = gb = None
-        if weight.requires_grad or (bias is not None and bias.requires_grad):
-            gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
         if weight.requires_grad:
-            xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.data.dtype)
-            xp[:, padding:padding + h, padding:padding + wd, :] = x.data.transpose(0, 2, 3, 1)
-            gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
-            tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
-            for ki, kj in offsets:
-                np.copyto(tap, _window(xp, ki, kj, stride, oh, ow))
-                np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
-            gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
+            # on the helper when the input gradient runs beside it and the
+            # weight node can hold it pending until the walk visits it; a
+            # leaf would join at once, GEMMs beside GEMMs, slower than inline
+            args = (x.data, g, kh, kw, stride, padding)
+            wait = x.requires_grad and weight._grad_fn is not None
+            gw = fork(_conv2d_weight_grad, *args) if wait else _conv2d_weight_grad(*args)
         if bias is not None and bias.requires_grad:
-            gb = gout.sum(axis=0)
+            gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o).sum(axis=0)
         if x.requires_grad:
             # a stride-1 conv over g dilated by the stride: tap (ki, kj), in
             # the forward's order, reads the window at (kh-1-ki, kw-1-kj)
