@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,83 +24,117 @@ from bwrf.tensor import Tensor
 
 BOUNDARY_BITS = 8  # stem conv and head always quantize at 8 bits
 SUPPORTED_BITS = (2, 3, 4, 8, 32)  # 32 means exact full-precision passthrough
+WIDTHS = (16, 32, 64)  # channels of each block
+STRIDES = (1, 2, 2)  # stride of each block's first unit
 
 
-class Conv2d:
-    def __init__(self, in_ch: int, out_ch: int, k: int, stride: int = 1,
-                 padding: int = 0, bias: bool = False, rng=None):
-        std = np.sqrt(2.0 / (in_ch * k * k))
-        w = rng.standard_normal((out_ch, in_ch, k, k)) * std
-        self.weight = Tensor(w.astype(np.float32), requires_grad=True)
-        self.bias = Tensor(np.zeros(out_ch, np.float32), requires_grad=True) if bias else None
-        self.stride = stride
-        self.padding = padding
-        self.wq: Quantizer | None = None
-        self.aq: Quantizer | None = None
+class QuantizedLayer:
+    """Conv2d and Linear: ``op`` on the input and the weight, each through its
+    quantizer once ``quantize`` has attached them (LP models only)."""
+
+    bias: Tensor | None = None
+    wq: Quantizer | None = None
+    aq: Quantizer | None = None
 
     def __call__(self, x: Tensor) -> Tensor:
         w = self.weight
         if self.wq is not None:  # wq and aq are attached together
             x, w = quantizer.quantize_forward(x, self.aq), quantizer.quantize_forward(w, self.wq)
+        return self.op(x, w)
+
+    def quantize(self, bits: int, act_signed: bool, grad_scale_enabled: bool, enabled: bool):
+        self.wq = Quantizer(bits, signed=True, grad_scale_enabled=grad_scale_enabled)
+        self.aq = Quantizer(bits, signed=act_signed, grad_scale_enabled=grad_scale_enabled)
+        self.wq.enabled = self.aq.enabled = enabled
+
+    def quantizers(self):
+        return [(qn, q) for qn, q in (("wq", self.wq), ("aq", self.aq)) if q is not None]
+
+    def params(self):
+        """(slot, tensor, no_decay): weight and bias decay, quantizer scales do not."""
+        out = [("weight", self.weight, False)]
+        if self.bias is not None:
+            out.append(("bias", self.bias, False))
+        return out + [(f"{qn}.scale", q.scale, True) for qn, q in self.quantizers()]
+
+    def stats(self):
+        return []
+
+
+class Conv2d(QuantizedLayer):
+    """Bias-free: every conv feeds a batchnorm."""
+
+    def __init__(self, in_ch: int, out_ch: int, k: int, stride: int = 1,
+                 padding: int = 0, rng=None):
+        std = np.sqrt(2.0 / (in_ch * k * k))
+        w = rng.standard_normal((out_ch, in_ch, k, k)) * std
+        self.weight = Tensor(w.astype(np.float32), requires_grad=True)
+        self.stride = stride
+        self.padding = padding
+
+    def op(self, x: Tensor, w: Tensor) -> Tensor:
         return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
 
 
-class Linear:
+class Linear(QuantizedLayer):
     def __init__(self, in_f: int, out_f: int, rng=None):
         bound = np.sqrt(1.0 / in_f)
         w = rng.uniform(-bound, bound, size=(out_f, in_f))
         self.weight = Tensor(w.astype(np.float32), requires_grad=True)
         self.bias = Tensor(np.zeros(out_f, np.float32), requires_grad=True)
-        self.wq: Quantizer | None = None
-        self.aq: Quantizer | None = None
 
-    def __call__(self, x: Tensor) -> Tensor:
-        w = self.weight
-        if self.wq is not None:
-            x, w = quantizer.quantize_forward(x, self.aq), quantizer.quantize_forward(w, self.wq)
+    def op(self, x: Tensor, w: Tensor) -> Tensor:
         return T.linear(x, w, self.bias)
 
 
 class BatchNorm2d:
-    def __init__(self, ch: int, momentum: float = 0.1, eps: float = 1e-5):
+    momentum = 0.1  # a one-batch calibration may set 1.0 on an instance
+    eps = 1e-5
+
+    def __init__(self, ch: int):
         self.gamma = Tensor(np.ones(ch, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(ch, np.float32), requires_grad=True)
         self.running_mean = np.zeros(ch, np.float32)
         self.running_var = np.ones(ch, np.float32)
-        self.momentum = momentum
-        self.eps = eps
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         return T.batchnorm2d(x, self.gamma, self.beta, self.running_mean,
                              self.running_var, training, self.momentum, self.eps)
 
+    def quantize(self, *args, **kwargs):
+        """Batchnorm runs in full precision in both flavors: no quantizers."""
+
+    def quantizers(self):
+        return []
+
+    def params(self):
+        """(slot, tensor, no_decay): weight decay must not shrink the affine pair."""
+        return [("gamma", self.gamma, True), ("beta", self.beta, True)]
+
+    def stats(self):
+        return [("running_mean", self.running_mean), ("running_var", self.running_var)]
+
 
 class ResidualUnit:
     """conv-bn-relu-conv-bn plus identity (or 1x1-conv-bn) shortcut, relu out."""
+
+    LAYERS = ("conv1", "conv2", "down_conv", "bn1", "bn2", "down_bn")  # checkpoint order
 
     def __init__(self, in_ch: int, out_ch: int, stride: int, rng):
         self.conv1 = Conv2d(in_ch, out_ch, 3, stride=stride, padding=1, rng=rng)
         self.bn1 = BatchNorm2d(out_ch)
         self.conv2 = Conv2d(out_ch, out_ch, 3, stride=1, padding=1, rng=rng)
         self.bn2 = BatchNorm2d(out_ch)
+        self.down_conv = self.down_bn = None
         if stride != 1 or in_ch != out_ch:
             self.down_conv = Conv2d(in_ch, out_ch, 1, stride=stride, rng=rng)
             self.down_bn = BatchNorm2d(out_ch)
-        else:
-            self.down_conv = None
-            self.down_bn = None
 
     def __call__(self, x: Tensor, training: bool) -> Tensor:
         h = T.relu(self.bn1(self.conv1(x), training))
         h = self.bn2(self.conv2(h), training)
         sc = x if self.down_conv is None else self.down_bn(self.down_conv(x), training)
         return T.relu(T.add(h, sc))
-
-    def convs(self):
-        out = [("conv1", self.conv1), ("conv2", self.conv2)]
-        if self.down_conv is not None:
-            out.append(("down_conv", self.down_conv))
-        return out
 
 
 class Block:
@@ -122,17 +156,16 @@ class Block:
 
 @dataclass
 class BlockSpec:
-    """Topology shared by the full- and low-precision models."""
+    """Topology shared by the full- and low-precision models: three stages of
+    WIDTHS channels, each entered at its STRIDES entry."""
 
-    widths: tuple = (16, 32, 64)
-    strides: tuple = (1, 2, 2)
     units_per_block: int = 3
     in_channels: int = 3
     num_classes: int = 10
 
     @property
     def n_blocks(self) -> int:
-        return len(self.widths)
+        return len(WIDTHS)
 
     @classmethod
     def from_arch(cls, arch: str, in_channels: int = 3, num_classes: int = 10) -> "BlockSpec":
@@ -153,17 +186,12 @@ class BlockModel:
     def __init__(self, spec: BlockSpec, bits: int | None = None,
                  grad_scale_enabled: bool = True, seed: int = 0):
         rng = np.random.default_rng(seed)
-        self.spec = spec
         self.bits = bits
-        self.stem_conv = Conv2d(spec.in_channels, spec.widths[0], 3, stride=1,
-                                padding=1, rng=rng)
-        self.stem_bn = BatchNorm2d(spec.widths[0])
-        self.blocks = []
-        in_ch = spec.widths[0]
-        for width, stride in zip(spec.widths, spec.strides):
-            self.blocks.append(Block(in_ch, width, stride, spec.units_per_block, rng))
-            in_ch = width
-        self.head = Linear(spec.widths[-1], spec.num_classes, rng=rng)
+        self.stem_conv = Conv2d(spec.in_channels, WIDTHS[0], 3, stride=1, padding=1, rng=rng)
+        self.stem_bn = BatchNorm2d(WIDTHS[0])
+        self.blocks = [Block(in_ch, width, stride, spec.units_per_block, rng)
+                       for in_ch, width, stride in zip(WIDTHS[:1] + WIDTHS, WIDTHS, STRIDES)]
+        self.head = Linear(WIDTHS[-1], spec.num_classes, rng=rng)
         self.training = True
         self.frozen = False
         if bits is not None:
@@ -175,23 +203,12 @@ class BlockModel:
         if bits not in SUPPORTED_BITS:
             raise ValueError(f"unsupported bit-width {bits}; choose from {SUPPORTED_BITS}")
         passthrough = bits == 32
-
-        def make(layer, w_bits, act_signed):
-            b = 8 if passthrough else w_bits
-            layer.wq = Quantizer(b, signed=True, grad_scale_enabled=grad_scale_enabled)
-            layer.aq = Quantizer(b, signed=act_signed, grad_scale_enabled=grad_scale_enabled)
-            if passthrough:
-                layer.wq.enabled = False
-                layer.aq.enabled = False
-
-        # Stem sees signed normalized images; every later activation follows
-        # a relu, so those quantizers are unsigned.
-        make(self.stem_conv, BOUNDARY_BITS, act_signed=True)
-        for block in self.blocks:
-            for unit in block.units:
-                for _, conv in unit.convs():
-                    make(conv, bits, act_signed=False)
-        make(self.head, BOUNDARY_BITS, act_signed=False)
+        for name, layer in self._named_layers():
+            # Stem sees signed normalized images; every later activation
+            # follows a relu, so those quantizers are unsigned.
+            b = 8 if passthrough else BOUNDARY_BITS if name in ("stem.conv", "head") else bits
+            layer.quantize(b, act_signed=name == "stem.conv",
+                           grad_scale_enabled=grad_scale_enabled, enabled=not passthrough)
 
     # -- modes ----------------------------------------------------------------
 
@@ -244,17 +261,14 @@ class BlockModel:
         return len(self.blocks)
 
     def _named_layers(self):
+        """(name, layer) of every layer in v1 checkpoint order."""
         yield "stem.conv", self.stem_conv
         yield "stem.bn", self.stem_bn
         for bi, block in enumerate(self.blocks, start=1):
             for ui, unit in enumerate(block.units):
-                base = f"block{bi}.unit{ui}"
-                for cname, conv in unit.convs():
-                    yield f"{base}.{cname}", conv
-                yield f"{base}.bn1", unit.bn1
-                yield f"{base}.bn2", unit.bn2
-                if unit.down_bn is not None:
-                    yield f"{base}.down_bn", unit.down_bn
+                for slot in ResidualUnit.LAYERS:
+                    if getattr(unit, slot) is not None:
+                        yield f"block{bi}.unit{ui}.{slot}", getattr(unit, slot)
         yield "head", self.head
 
     def param_groups(self):
@@ -263,29 +277,12 @@ class BlockModel:
         Batchnorm affine parameters and quantizer scales are flagged
         no_decay; weight decay must not shrink them.
         """
-        out = []
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2d):
-                out.append((f"{name}.gamma", layer.gamma, True))
-                out.append((f"{name}.beta", layer.beta, True))
-                continue
-            out.append((f"{name}.weight", layer.weight, False))
-            if layer.bias is not None:
-                out.append((f"{name}.bias", layer.bias, False))
-            for qn, q in (("wq", layer.wq), ("aq", layer.aq)):
-                if q is not None:
-                    out.append((f"{name}.{qn}.scale", q.scale, True))
-        return out
+        return [(f"{name}.{slot}", p, no_decay) for name, layer in self._named_layers()
+                for slot, p, no_decay in layer.params()]
 
     def quantizers(self):
-        out = []
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2d):
-                continue
-            for qn, q in (("wq", layer.wq), ("aq", layer.aq)):
-                if q is not None:
-                    out.append((f"{name}.{qn}", q))
-        return out
+        return [(f"{name}.{slot}", q) for name, layer in self._named_layers()
+                for slot, q in layer.quantizers()]
 
     def set_quantizers_enabled(self, flag: bool):
         for _, q in self.quantizers():
@@ -293,14 +290,10 @@ class BlockModel:
 
     def state_dict(self):
         """Name -> float32 array for every persistent value, in a fixed order:
-        parameters, batchnorm running stats, quantizer scales."""
-        out = {}
-        for name, p, _ in self.param_groups():
-            out[name] = p.data
-        for name, layer in self._named_layers():
-            if isinstance(layer, BatchNorm2d):
-                out[f"{name}.running_mean"] = layer.running_mean
-                out[f"{name}.running_var"] = layer.running_var
+        every layer's trainable slots, then every batchnorm's running stats."""
+        out = {name: p.data for name, p, _ in self.param_groups()}
+        out.update((f"{name}.{slot}", arr) for name, layer in self._named_layers()
+                   for slot, arr in layer.stats())
         return out
 
     def load_state_dict(self, tensors: dict):
@@ -309,11 +302,7 @@ class BlockModel:
         extra = sorted(set(tensors) - set(own))
         if missing or extra:
             raise ValueError(f"state mismatch: missing {missing[:4]}, unexpected {extra[:4]}")
-        for name, arr in tensors.items():
-            dst = own[name]
-            if dst.shape != arr.shape:
-                raise ValueError(f"shape mismatch for {name}: {dst.shape} vs {arr.shape}")
-            np.copyto(dst, arr)
+        _copy_into(own, tensors)
         for _, q in self.quantizers():
             q.initialized = True
 
@@ -351,16 +340,18 @@ def init_lp_from_fp(lp: BlockModel, fp: BlockModel):
     """Copy every FP value into the LP model and calibrate weight-quantizer
     scales from the copied weights. Activation scales stay lazy (first batch).
     """
-    src = fp.state_dict()
-    dst = lp.state_dict()
+    _copy_into(lp.state_dict(), fp.state_dict())
+    for _, layer in lp._named_layers():
+        for slot, q in layer.quantizers():
+            if slot == "wq":
+                q.set_scale(init_scale(layer.weight.data, q))
+
+
+def _copy_into(dst: dict, src: dict):
+    """Copy every array of src into the state_dict array dst holds under its name."""
     for name, arr in src.items():
         if name not in dst:
-            raise ValueError(f"LP model has no slot named {name}")
+            raise ValueError(f"model has no slot named {name}")
         if dst[name].shape != arr.shape:
             raise ValueError(f"shape mismatch for {name}: {dst[name].shape} vs {arr.shape}")
         np.copyto(dst[name], arr)
-    for name, layer in lp._named_layers():
-        if isinstance(layer, BatchNorm2d):
-            continue
-        if layer.wq is not None:
-            layer.wq.set_scale(init_scale(layer.weight.data, layer.wq))

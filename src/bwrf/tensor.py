@@ -14,9 +14,10 @@ kh*kw GEMMs with K = C, one per tap in row-major order, one batch tile of
 CONV_TILE images at a time so the tile's buffers stay in cache. Its input
 gradient is the same kernel over g dilated by the stride, taps in the same
 order: each input position sums the terms a scatter of ``g @ W_tap``
-would, in the same order, plus exact zeros. Those GEMMs have N = C_in (16,
-32 or 64; the stem takes no input gradient). The weight gradient is one
-untiled GEMM per tap over all N*OH*OW rows, as tiling would split its sum.
+would, in the same order, plus exact zeros. Those GEMMs have N = C_in: 16,
+32 or 64, and 3 in the LP stem, whose input gradient feeds its input
+quantizer's scale. The weight gradient is one untiled GEMM per tap over
+all N*OH*OW rows, as tiling would split its sum.
 Tiling keeps each row's sum provided the BLAS computes a GEMM row the same
 way whatever the row count: OpenBLAS 0.3.31's SkylakeX kernels do for the
 network's shapes, not for N in {3, 8} with K >= 32, and numpy sends a

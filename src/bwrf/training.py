@@ -103,9 +103,8 @@ def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> 
     ``teacher`` is ``model_pass(fp, ...)`` over the same split and batch size,
     or ((None, None), []) when F's scores and the cosines are not wanted; the
     rows its features cover add the per-sample means
-    cos_b{i} = cos(x^Q_i, x^F_i) and cos_g{k} = cos(h_k, x^F_{k+1}). Eval-mode
-    block features of a row do not depend on its batch-mates, so row slices
-    of the eval batches give the cos_* of batching those rows on their own.
+    cos_b{i} = cos(x^Q_i, x^F_i) and cos_g{k} = cos(h_k, x^F_{k+1}), read off
+    row slices of the eval batches.
     """
     (acc_f, top5_f), leading = teacher
     lp.eval()
@@ -131,9 +130,15 @@ def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> 
 
 def cosine_similarities(lp, fp, split: Split, n_samples: int = 1024,
                         batch_size: int = 256) -> dict:
-    """The cos_* keys of ``evaluate_branches`` over the first n_samples images."""
-    sub = Split(split.images[:n_samples], split.labels[:n_samples])
-    out = evaluate_branches(lp, fp, sub, batch_size, model_pass(fp, sub, batch_size, len(sub)))
+    """The cos_* keys of ``evaluate_branches`` over the first n_samples images.
+
+    It walks the whole leading eval batches that hold those rows, as the
+    training log's audit does, so both read the same batches and the same
+    cosines whatever the BLAS.
+    """
+    rows = math.ceil(min(n_samples, len(split)) / batch_size) * batch_size
+    sub = Split(split.images[:rows], split.labels[:rows])
+    out = evaluate_branches(lp, fp, sub, batch_size, model_pass(fp, sub, batch_size, n_samples))
     return {key: v for key, v in out.items() if key.startswith("cos_")}
 
 

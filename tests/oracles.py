@@ -404,12 +404,13 @@ def branch_metrics_two_walks(lp, fp, split, batch_size, cos_samples):
     """acc_*, top5_* and cos_* by two separate taped walks of the test split.
 
     The accuracy walk runs, per batch, the LP forward, the whole FP suffix
-    from each graft point and the full FP forward. The cosine walk batches
-    the first cos_samples images on their own and runs separate LP and FP
-    forward_collect passes, then fp.blocks[i] on the LP feature. The shared
-    _cos_rows reduction and the batching come from bwrf.
+    from each graft point and the full FP forward. The cosine walk runs
+    separate LP and FP forward_collect passes over the leading eval batches,
+    then fp.blocks[i] on the LP feature, and compares the batch rows among
+    the first cos_samples images. The shared _cos_rows reduction and the
+    batching come from bwrf.
     """
-    from bwrf.data import Split, iter_batches
+    from bwrf.data import iter_batches
     from bwrf.training import _cos_rows
 
     n_blocks = lp.n_blocks
@@ -432,21 +433,22 @@ def branch_metrics_two_walks(lp, fp, split, batch_size, cos_samples):
     out = {key: 100.0 * h / len(split) for key, h in hits.items()}
 
     take = min(cos_samples, len(split))
-    sub = Split(split.images[:take], split.labels[:take])
     sums = {f"cos_b{i}": 0.0 for i in range(1, n_blocks + 1)}
     sums.update({f"cos_g{i}": 0.0 for i in range(1, n_blocks)})
     count = 0
-    for images, _ in iter_batches(sub, batch_size):
+    for images, _ in iter_batches(split, batch_size):
+        if count == take:
+            break
         x = Tensor(images)
         f_lp, _ = lp.forward_collect(x)
         f_fp, _ = fp.forward_collect(x)
-        batch = len(images)
+        rows = min(len(images), take - count)
         for i in range(1, n_blocks + 1):
-            sums[f"cos_b{i}"] += _cos_rows(f_lp[i - 1].data, f_fp[i - 1].data) * batch
+            sums[f"cos_b{i}"] += _cos_rows(f_lp[i - 1].data[:rows], f_fp[i - 1].data[:rows]) * rows
         for i in range(1, n_blocks):
             grafted = fp.blocks[i](f_lp[i - 1], False)
-            sums[f"cos_g{i}"] += _cos_rows(grafted.data, f_fp[i].data) * batch
-        count += batch
+            sums[f"cos_g{i}"] += _cos_rows(grafted.data[:rows], f_fp[i].data[:rows]) * rows
+        count += rows
     out.update({key: v / count for key, v in sums.items()})
     return out
 

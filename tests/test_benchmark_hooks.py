@@ -44,8 +44,8 @@ cfg = RunConfig(epochs=1, milestones=(), batch_size=8, eval_batch_size=8, cos_ev
                 augment=False)
 training.train_bwrf(lp, fp, split, split, cfg)
 training.cosine_similarities(lp, fp, split, 4, 8)
-assert len(steps) == 1 and [e["n"] for e in evals] == [8, 4], (steps, evals)
-assert tracer.summary()["counts"]["eval/images"] == 12
+assert len(steps) == 1 and [e["n"] for e in evals] == [8, 8], (steps, evals)
+assert tracer.summary()["counts"]["eval/images"] == 16
 missing = sorted(set({spans!r}) - {{span[0] for span in tracer.spans}})
 assert not missing, f"no span recorded for {{missing}}"
 """

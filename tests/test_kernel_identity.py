@@ -76,6 +76,7 @@ def test_conv2d_matches_the_one_pass_kernel(geometry, n):
 # (in channels, out channels, kernel, stride, padding, extent): every resnet
 # conv that takes an input gradient, at its stage's extent
 STAGE_CONVS = {
+    "stem-32": (3, 16, 3, 1, 1, 32),
     "16-32": (16, 16, 3, 1, 1, 32),
     "32-16": (32, 32, 3, 1, 1, 16),
     "64-8": (64, 64, 3, 1, 1, 8),

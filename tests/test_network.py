@@ -203,6 +203,58 @@ def test_state_dict_round_trip():
     assert a.checksum() == b.checksum()
 
 
+# The v1 checkpoint writes state_dict() in order, so this table is the file
+# layout of resnet8: every trainable slot layer by layer, then every
+# batchnorm's running statistics. Rows ending in .scale exist in LP only.
+RESNET8_SLOTS = [
+    ("stem.conv.weight", (16, 3, 3, 3)), ("stem.conv.wq.scale", (1,)),
+    ("stem.conv.aq.scale", (1,)), ("stem.bn.gamma", (16,)), ("stem.bn.beta", (16,)),
+    ("block1.unit0.conv1.weight", (16, 16, 3, 3)), ("block1.unit0.conv1.wq.scale", (1,)),
+    ("block1.unit0.conv1.aq.scale", (1,)),
+    ("block1.unit0.conv2.weight", (16, 16, 3, 3)), ("block1.unit0.conv2.wq.scale", (1,)),
+    ("block1.unit0.conv2.aq.scale", (1,)),
+    ("block1.unit0.bn1.gamma", (16,)), ("block1.unit0.bn1.beta", (16,)),
+    ("block1.unit0.bn2.gamma", (16,)), ("block1.unit0.bn2.beta", (16,)),
+    ("block2.unit0.conv1.weight", (32, 16, 3, 3)), ("block2.unit0.conv1.wq.scale", (1,)),
+    ("block2.unit0.conv1.aq.scale", (1,)),
+    ("block2.unit0.conv2.weight", (32, 32, 3, 3)), ("block2.unit0.conv2.wq.scale", (1,)),
+    ("block2.unit0.conv2.aq.scale", (1,)),
+    ("block2.unit0.down_conv.weight", (32, 16, 1, 1)),
+    ("block2.unit0.down_conv.wq.scale", (1,)), ("block2.unit0.down_conv.aq.scale", (1,)),
+    ("block2.unit0.bn1.gamma", (32,)), ("block2.unit0.bn1.beta", (32,)),
+    ("block2.unit0.bn2.gamma", (32,)), ("block2.unit0.bn2.beta", (32,)),
+    ("block2.unit0.down_bn.gamma", (32,)), ("block2.unit0.down_bn.beta", (32,)),
+    ("block3.unit0.conv1.weight", (64, 32, 3, 3)), ("block3.unit0.conv1.wq.scale", (1,)),
+    ("block3.unit0.conv1.aq.scale", (1,)),
+    ("block3.unit0.conv2.weight", (64, 64, 3, 3)), ("block3.unit0.conv2.wq.scale", (1,)),
+    ("block3.unit0.conv2.aq.scale", (1,)),
+    ("block3.unit0.down_conv.weight", (64, 32, 1, 1)),
+    ("block3.unit0.down_conv.wq.scale", (1,)), ("block3.unit0.down_conv.aq.scale", (1,)),
+    ("block3.unit0.bn1.gamma", (64,)), ("block3.unit0.bn1.beta", (64,)),
+    ("block3.unit0.bn2.gamma", (64,)), ("block3.unit0.bn2.beta", (64,)),
+    ("block3.unit0.down_bn.gamma", (64,)), ("block3.unit0.down_bn.beta", (64,)),
+    ("head.weight", (10, 64)), ("head.bias", (10,)),
+    ("head.wq.scale", (1,)), ("head.aq.scale", (1,)),
+    ("stem.bn.running_mean", (16,)), ("stem.bn.running_var", (16,)),
+    ("block1.unit0.bn1.running_mean", (16,)), ("block1.unit0.bn1.running_var", (16,)),
+    ("block1.unit0.bn2.running_mean", (16,)), ("block1.unit0.bn2.running_var", (16,)),
+    ("block2.unit0.bn1.running_mean", (32,)), ("block2.unit0.bn1.running_var", (32,)),
+    ("block2.unit0.bn2.running_mean", (32,)), ("block2.unit0.bn2.running_var", (32,)),
+    ("block2.unit0.down_bn.running_mean", (32,)), ("block2.unit0.down_bn.running_var", (32,)),
+    ("block3.unit0.bn1.running_mean", (64,)), ("block3.unit0.bn1.running_var", (64,)),
+    ("block3.unit0.bn2.running_mean", (64,)), ("block3.unit0.bn2.running_var", (64,)),
+    ("block3.unit0.down_bn.running_mean", (64,)), ("block3.unit0.down_bn.running_var", (64,)),
+]
+
+
+@pytest.mark.parametrize("precision", ["fp", "lp"])
+def test_state_dict_slot_order_is_the_v1_layout(precision):
+    model = build_model(BlockSpec.from_arch("resnet8"), precision, bits=4)
+    want = [(name, shape) for name, shape in RESNET8_SLOTS
+            if precision == "lp" or not name.endswith(".scale")]
+    assert [(name, arr.shape) for name, arr in model.state_dict().items()] == want
+
+
 def test_load_state_dict_rejects_bad_keys_and_shapes():
     lp = build_model(SPEC, "lp", bits=4)
     state = lp.state_dict()

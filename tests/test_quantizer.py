@@ -264,7 +264,7 @@ def test_disabled_quantizer_is_same_node():
 def test_quantized_conv_matches_explicit_composition():
     rng = np.random.default_rng(12)
     x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
-    conv = Conv2d(3, 4, 3, stride=1, padding=1, bias=True, rng=rng)
+    conv = Conv2d(3, 4, 3, stride=1, padding=1, rng=rng)
     conv.weight = wt = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
     conv.bias = b = Tensor(rng.standard_normal(4).astype(np.float32))
     conv.wq = wq = make_q(bits=4, signed=True, scale=0.11)
