@@ -10,10 +10,12 @@ C = 3 stem conv and the two 1x1 stride-2 downsample convs. Every op runs
 taped with trainable parameters, as in a training step; its backward is
 the node's own rule, called on a fixed upstream gradient, accumulation
 into the inputs included. Each conv also gets a `conv2d_input_grad` row
-(weight frozen; not for the stem, which reads images) and a
-`conv2d_weight_grad` row (input frozen), so the two halves of its
-backward are timed apart. Each case runs once as a warm-up, then REPS
-times; the table holds the median of each side.
+(weight frozen) and a `conv2d_weight_grad` row (input frozen), so the two
+halves of its backward are timed apart. The stem's input takes a
+gradient too, as in the LP stem, whose input quantizer's scale needs one.
+The `batchnorm2d` backward rebuilds the normalised input (two passes)
+before its gradients. Each case runs once as a warm-up, then REPS times;
+the table holds the median of each side.
 
 The `bwrf` package is imported from --src (default: this checkout's src/),
 so the same script measures two checkouts on one machine. The run is
@@ -79,9 +81,7 @@ def cases(batch: int, rng):
 
     for op, x_grad, w_grad in CONV_OPS:
         for name, c, o, e, k, s, p in CONVS:
-            if c == 3 and not w_grad:
-                continue  # the stem reads images: it has no input gradient
-            x = Tensor(draw(batch, c, e, e), requires_grad=x_grad and c != 3)
+            x = Tensor(draw(batch, c, e, e), requires_grad=x_grad)
             w = Tensor(draw(o, c, k, k) * 0.1, requires_grad=w_grad)
             yield op, name, [batch, c, e, e, o, k, s, p], (x, w), \
                 lambda x=x, w=w, s=s, p=p: T.conv2d(x, w, stride=s, padding=p)

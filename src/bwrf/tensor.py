@@ -5,7 +5,9 @@ norm, ReLU, residual add, global average pooling, log-softmax, and the
 reductions needed for classification and distillation losses. Gradients
 accumulate by summation when a node feeds several consumers, so a shared
 feature map receives the sum of the contributions from every branch that
-consumed it.
+consumed it. The backward walk drops each node's gradient once its rule
+has run, so the tape holds intermediate gradients only while they are
+needed, and afterwards only leaves hold one.
 
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
@@ -22,12 +24,17 @@ Tiling keeps each row's sum provided the BLAS computes a GEMM row the same
 way whatever the row count: OpenBLAS 0.3.31's SkylakeX kernels do for the
 network's shapes, not for N in {3, 8} with K >= 32, and numpy sends a
 one-row matmul to gemv, which rounds differently at K = 64. The forward
-keeps no copy of its input; the weight gradient pads its own.
+keeps no copy of its input; the weight gradient pads its own, or reads
+each tap's window straight from the input when there is no padding.
 
 Batchnorm centres its input once, for the variance and for xhat, and
-reuses two buffers in its backward; a first gradient arrival is written
-once as g + 0.0 into a fresh array of the input's shape and dtype, which
-is zeros + g to the bit (-0 becomes +0).
+keeps only its channel mean and inverse std: its backward rebuilds xhat
+from its input node's data with the forward's own two ops, so the bits
+match, and only when gamma trains or the batch statistics take a
+gradient. An eval-mode batchnorm with a frozen gamma, as in a graft
+suffix, rebuilds nothing. A first gradient arrival is written once as
+g + 0.0 into a fresh array of the input's shape and dtype, which is
+zeros + g to the bit (-0 becomes +0).
 
 Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
 their inputs; the public Tensor API stores float32. The finite-difference
@@ -182,13 +189,16 @@ class Tensor:
     # -- backward -----------------------------------------------------------
 
     def backward(self):
-        """Assign ``grad`` on every reachable tensor with ``requires_grad``.
+        """Assign ``grad`` on every reachable leaf with ``requires_grad``.
 
         The loss must be scalar. Each operation record in the graph is
         visited exactly once, in reverse topological order; multi-consumer
         nodes therefore receive their full summed gradient before their own
         rule runs. The nodes whose parents are all leaves come last, in
         their own order, and a pending gradient is resolved on the visit.
+        A node's gradient is dropped once its rule has run, so after the
+        walk only leaves hold one, and a second walk over the same tape,
+        with the leaf gradients reset, gives the same leaf gradients.
         """
         if self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
@@ -198,9 +208,8 @@ class Tensor:
         self.grad = np.ones_like(self.data)
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
-                if callable(node.grad):
-                    node.grad = _first_arrival(node, node.grad)
-                node._grad_fn(node.grad)
+                g, node.grad = node.grad, None
+                node._grad_fn(_first_arrival(node, g) if callable(g) else g)
 
 
 def _reverse_topo(root: Tensor):
@@ -368,14 +377,17 @@ def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step, bias=None):
 
 
 def _conv2d_weight_grad(x, g, kh, kw, stride, padding):
-    """OIkk gradient of a conv's weight: the whole NCHW batch x padded
-    channels-last, then one ``gout.T @ window`` GEMM per tap in row-major
-    order over all N*OH*OW rows."""
+    """OIkk gradient of a conv's weight: one ``gout.T @ window`` GEMM per
+    tap in row-major order over all N*OH*OW rows, each window copied
+    channels-last from a padded copy of the whole NCHW batch x, or straight
+    from x when there is no padding."""
     n, c, h, wd = x.shape
     o, oh, ow = g.shape[1:]
     gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
-    xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
-    xp[:, padding:padding + h, padding:padding + wd, :] = x.transpose(0, 2, 3, 1)
+    xp = nhwc = x.transpose(0, 2, 3, 1)
+    if padding:
+        xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
+        xp[:, padding:padding + h, padding:padding + wd, :] = nhwc
     gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
     tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
     for ki in range(kh):
@@ -478,7 +490,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
 def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
                          training, momentum, eps):
-    """Returns (out, xhat, inv_std). Mutates running stats in train mode.
+    """Returns (out, mean, inv_std). Mutates running stats in train mode.
 
     The input is centred once: in train mode the variance is the mean of
     the squares of that centred array, which are the steps ``np.var``
@@ -505,7 +517,7 @@ def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
     xhat *= inv[None, :, None, None]
     np.multiply(gamma[None, :, None, None], xhat, out=out)
     out += beta[None, :, None, None]
-    return out, xhat, inv
+    return out, mean, inv
 
 
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -529,15 +541,20 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"batchnorm2d: affine shapes {gamma.shape}/{beta.shape} vs {c} channels")
 
-    out_data, xhat, inv = _batchnorm2d_forward(
+    out_data, mean, inv = _batchnorm2d_forward(
         x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, eps)
 
     def grad_fn(g):
-        # two activation-sized buffers: gx (dxhat, then the input gradient)
-        # and prod (g * xhat, dxhat * xhat, then xhat * their channel sums)
+        # up to three activation-sized buffers: xhat, rebuilt with the
+        # forward's two ops (the same bits) when gamma trains or the batch
+        # stats take a gradient, gx (dxhat, then the input gradient) and
+        # prod (g * xhat, then dxhat * xhat)
         axes = (0, 2, 3)
         gbeta = g.sum(axis=axes) if beta.requires_grad else None
         ggamma = gx = prod = None
+        if gamma.requires_grad or (training and x.requires_grad):
+            xhat = x.data - mean[None, :, None, None]
+            xhat *= inv[None, :, None, None]
         if gamma.requires_grad:
             prod = np.multiply(g, xhat)
             ggamma = prod.sum(axis=axes)
@@ -549,8 +566,8 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 s_dxhat, s_prod = gx.sum(axis=axes), prod.sum(axis=axes)
                 gx *= m
                 gx -= s_dxhat[None, :, None, None]
-                np.multiply(xhat, s_prod[None, :, None, None], out=prod)
-                gx -= prod
+                xhat *= s_prod[None, :, None, None]
+                gx -= xhat
                 gx *= inv[None, :, None, None] / m
             else:
                 gx *= inv[None, :, None, None]

@@ -10,12 +10,12 @@ import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SCRIPT = os.path.join(ROOT, "bench", "kernels.py")
-CONVS = {"c16x32", "c32x16", "c64x8", "c16to32s2", "c32to64s2", "down1x1_16to32",
+CONVS = {"c16x32", "c32x16", "c64x8", "c16to32s2", "c32to64s2", "stem", "down1x1_16to32",
          "down1x1_32to64"}
 CASES = {
-    "conv2d": CONVS | {"stem"},
+    "conv2d": CONVS,
     "conv2d_input_grad": CONVS,
-    "conv2d_weight_grad": CONVS | {"stem"},
+    "conv2d_weight_grad": CONVS,
     "quantize_forward": {"c16x32", "c32x16", "c64x8"},
     "batchnorm2d": {"c16x32", "c32x16", "c64x8"},
 }

@@ -43,9 +43,12 @@ def weight_grad_threads(monkeypatch):
 
 
 def assert_all_resolved(root):
-    """Every reachable tensor that takes a gradient holds a plain array."""
+    """Every reachable leaf that takes a gradient holds a plain array; every
+    node with a backward rule has dropped its gradient, pending or not."""
     for node in T._reverse_topo(root):
-        if node.requires_grad:
+        if node._grad_fn is not None:
+            assert node.grad is None, f"{node!r} kept {type(node.grad)}"
+        elif node.requires_grad:
             assert type(node.grad) is np.ndarray, f"{node!r} holds {type(node.grad)}"
 
 
