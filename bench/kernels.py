@@ -3,19 +3,20 @@ training tape, at the resnet stage shapes.
 
     python3 bench/kernels.py --out BENCH_kernels.json [--src DIR] [--tiny]
 
-Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward` and
-`bwrf.tensor.batchnorm2d` (train mode) at 16x32^2, 32x16^2 and 64x8^2,
-batch 128, plus the two 3x3 stride-2 convs that open stages 2 and 3, the
-C = 3 stem conv and the two 1x1 stride-2 downsample convs. Every op runs
-taped with trainable parameters, as in a training step; its backward is
-the node's own rule, called on a fixed upstream gradient, accumulation
-into the inputs included. Each conv also gets a `conv2d_input_grad` row
+Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward`,
+`bwrf.tensor.batchnorm2d` (train mode) and `bwrf.tensor.relu` at 16x32^2,
+32x16^2 and 64x8^2, batch 128, plus the two 3x3 stride-2 convs that open
+stages 2 and 3, the C = 3 stem conv and the two 1x1 stride-2 downsample
+convs. Every op runs taped with trainable parameters, as in a training
+step; its backward is the node's own rule, called on a fixed upstream
+gradient, accumulation into the inputs included. Each conv also gets a `conv2d_input_grad` row
 (weight frozen) and a `conv2d_weight_grad` row (input frozen), so the two
 halves of its backward are timed apart. The stem's input takes a
 gradient too, as in the LP stem, whose input quantizer's scale needs one.
 The `batchnorm2d` backward rebuilds the normalised input (two passes)
-before its gradients. Each case runs once as a warm-up, then REPS times;
-the table holds the median of each side.
+before its gradients; the `relu` forward builds the bool mask its backward
+reads. Each case runs once as a warm-up, then REPS times; the table holds
+the median of each side.
 
 The `bwrf` package is imported from --src (default: this checkout's src/),
 so the same script measures two checkouts on one machine. The run is
@@ -24,13 +25,17 @@ commit of the measured checkout, with -dirty appended when its files
 differ from that commit, so an uncommitted change and its parent get
 separate entries. The machine context (nproc, BLAS name, version and
 threads, numpy, Python, commit) and the one-thread BLAS environment are
-perfbench's own. --tiny (batch 2, one repetition) only checks that the
-script runs.
+perfbench's own, plus `blas_core`: the kernel set OpenBLAS picked for this
+CPU (`SkylakeX`, or `Haswell` under `OPENBLAS_CORETYPE=Haswell`), read from
+numpy's bundled OpenBLAS, or null when numpy links another BLAS. --tiny
+(batch 2, one repetition) only checks that the script runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import statistics
@@ -68,6 +73,21 @@ def git_commit(path: str) -> str:
     return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
+def blas_core():
+    """The kernel set of numpy's bundled OpenBLAS, e.g. 'SkylakeX'; None when
+    numpy bundles no OpenBLAS. Opening the bundled library again returns the
+    copy numpy has loaded."""
+    import numpy as np
+
+    libs = glob.glob(os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs",
+                                  "libscipy_openblas*"))
+    if not libs:
+        return None
+    corename = ctypes.CDLL(libs[0]).scipy_openblas_get_corename64_
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
 def cases(batch: int, rng):
     """(op, case, shape, run): run() does one forward and returns the output node
     and the inputs whose gradients its backward fills."""
@@ -99,6 +119,9 @@ def cases(batch: int, rng):
         yield "batchnorm2d", f"c{c}x{e}", [batch, c, e, e], (x, gamma, beta), \
             lambda x=x, gamma=gamma, beta=beta, stats=stats: T.batchnorm2d(
                 x, gamma, beta, *stats, training=True)
+    for c, e in STAGES:
+        x = Tensor(draw(batch, c, e, e), requires_grad=True)
+        yield "relu", f"c{c}x{e}", [batch, c, e, e], (x,), lambda x=x: T.relu(x)
 
 
 def measure(run, inputs, reps: int, rng) -> tuple:
@@ -142,7 +165,7 @@ def main(argv=None) -> int:
         rows.append({"op": op, "case": case, "shape": shape,
                      "fwd_ms": round(fwd * 1e3, 3), "bwd_ms": round(bwd * 1e3, 3)})
         print(f"{op:18s} {case:15s} fwd {fwd * 1e3:9.3f} ms  bwd {bwd * 1e3:9.3f} ms")
-    context = {**perfbench.machine_context(), "commit": git_commit(src)}
+    context = {**perfbench.machine_context(), "blas_core": blas_core(), "commit": git_commit(src)}
     table = {"schema": "bwrf-kernels/1", "runs": {}}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:

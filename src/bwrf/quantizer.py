@@ -120,8 +120,10 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     factor = (np.float32(1.0 / math.sqrt(v.data.size * q.qmax))
               if q.grad_scale_enabled else None)
 
+    v_grad = v.requires_grad
+
     def grad_fn(g):
-        gv = g * inside if v.requires_grad else None
+        gv = g * inside if v_grad else None
         gs = (g * term).sum(dtype=np.float32)
         if factor is not None:
             gs = gs * factor

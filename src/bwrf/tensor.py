@@ -9,6 +9,17 @@ consumed it. The backward walk drops each node's gradient once its rule
 has run, so the tape holds intermediate gradients only while they are
 needed, and afterwards only leaves hold one.
 
+The tape is made of nodes, not arrays. A Tensor is its data and its
+``Node``, which holds the gradient, requires_grad, the parent nodes, the
+backward rule, the op name and the shape. Each rule captures at forward
+time the arrays and flags it reads, and no input Tensor: a conv keeps its
+input only when its weight takes a gradient, and its weight only when its
+input does; a batchnorm keeps its input only when its backward rebuilds
+xhat; a relu keeps a bool mask; a quantize its in-range mask and scale
+term. So an op output that no rule reads, such as a batchnorm output, a
+residual sum or a frozen graft suffix's conv output, is freed as soon as
+the forward code drops its Tensor.
+
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
 so repeated runs in one environment are bit-identical. A kh x kw conv sums
@@ -29,12 +40,12 @@ each tap's window straight from the input when there is no padding.
 
 Batchnorm centres its input once, for the variance and for xhat, and
 keeps only its channel mean and inverse std: its backward rebuilds xhat
-from its input node's data with the forward's own two ops, so the bits
-match, and only when gamma trains or the batch statistics take a
-gradient. An eval-mode batchnorm with a frozen gamma, as in a graft
-suffix, rebuilds nothing. A first gradient arrival is written once as
-g + 0.0 into a fresh array of the input's shape and dtype, which is
-zeros + g to the bit (-0 becomes +0).
+from its input with the forward's own two ops, so the bits match, and
+only when gamma trains or the batch statistics take a gradient. An
+eval-mode batchnorm with a frozen gamma, as in a graft suffix, rebuilds
+nothing. A first gradient arrival is written once as g + 0.0 into a
+fresh float32 array of the input's shape, which is zeros + g to the bit
+(-0 becomes +0).
 
 Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
 their inputs; the public Tensor API stores float32. The finite-difference
@@ -102,18 +113,45 @@ def fork(fn, *args):
     return helper.submit(fn, *args).result
 
 
-class Tensor:
-    """A numpy-backed array node in a reverse-mode differentiation graph."""
+class Node:
+    """A tensor's place on the tape: its gradient, whether it takes one, the
+    parent nodes, the backward rule, the op name and the shape. It holds no
+    array of values, so an op output no rule reads is freed with its Tensor."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_grad_fn", "_op")
+    __slots__ = ("grad", "requires_grad", "_parents", "_grad_fn", "_op", "shape")
 
-    def __init__(self, data, requires_grad: bool = False):
-        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-        self.requires_grad = bool(requires_grad)
+    def __init__(self, shape, requires_grad: bool):
         self.grad = None
+        self.requires_grad = requires_grad
         self._parents = ()
         self._grad_fn = None
         self._op = "leaf"
+        self.shape = shape
+
+    def __repr__(self):
+        return f"Node(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+
+
+def _node_field(name, settable=False):
+    """A Tensor attribute that reads, and if settable writes, its node's."""
+    return property(lambda t: getattr(t.node, name),
+                    (lambda t, value: setattr(t.node, name, value)) if settable else None)
+
+
+class Tensor:
+    """A numpy-backed array and its node in a reverse-mode differentiation graph."""
+
+    __slots__ = ("data", "node")
+
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
+        self.node = Node(self.data.shape, bool(requires_grad))
+
+    grad = _node_field("grad", settable=True)
+    requires_grad = _node_field("requires_grad", settable=True)
+    _parents = _node_field("_parents")
+    _grad_fn = _node_field("_grad_fn")
+    _op = _node_field("_op")
 
     @property
     def shape(self):
@@ -171,18 +209,20 @@ class Tensor:
 
     def sum(self) -> "Tensor":
         out_data = np.asarray(self.data.sum(dtype=np.float32)).reshape(())
+        shape = self.shape
 
         def grad_fn(g):
-            return (np.broadcast_to(g, self.data.shape).astype(np.float32, copy=True),)
+            return (np.broadcast_to(g, shape).astype(np.float32, copy=True),)
 
         return custom_op("sum", out_data, (self,), grad_fn)
 
     def mean(self) -> "Tensor":
         inv = np.float32(1.0 / self.data.size)
         out_data = np.asarray(self.data.sum(dtype=np.float32) * inv).reshape(())
+        shape = self.shape
 
         def grad_fn(g):
-            return (np.broadcast_to(g * inv, self.data.shape).astype(np.float32, copy=True),)
+            return (np.broadcast_to(g * inv, shape).astype(np.float32, copy=True),)
 
         return custom_op("mean", out_data, (self,), grad_fn)
 
@@ -205,7 +245,7 @@ class Tensor:
         order = _reverse_topo(self)
         late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
         order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
-        self.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data)
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
@@ -213,10 +253,11 @@ class Tensor:
 
 
 def _reverse_topo(root: Tensor):
-    """Iterative post-order DFS, reversed: consumers before producers."""
+    """The nodes of root's tape by iterative post-order DFS, reversed:
+    consumers before producers."""
     order = []
     visited = set()
-    stack = [(root, False)]
+    stack = [(root.node, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -233,23 +274,23 @@ def _reverse_topo(root: Tensor):
     return order
 
 
-def _first_arrival(t: Tensor, g):
-    """One write of zeros + g into a fresh array of t's shape and dtype: g
-    may be shared with another input, and + 0.0 maps -0 to +0 as the zero
+def _first_arrival(node: Node, g):
+    """One write of zeros + g into a fresh float32 array of the node's shape:
+    g may be shared with another input, and + 0.0 maps -0 to +0 as the zero
     start would. A pending g (a join) is waited for first."""
-    return np.add(g() if callable(g) else g, 0.0, out=np.empty_like(t.data))
+    return np.add(g() if callable(g) else g, 0.0, out=np.empty(node.shape, np.float32))
 
 
-def _accumulate(t: Tensor, g):
-    """Add one gradient arrival to t. A pending first arrival stays pending
-    on a node with a backward rule, until the walk visits it."""
-    if t.requires_grad:
-        if t.grad is None:
-            t.grad = g if callable(g) and t._grad_fn is not None else _first_arrival(t, g)
+def _accumulate(node: Node, g):
+    """Add one gradient arrival to a node. A pending first arrival stays
+    pending on a node with a backward rule, until the walk visits it."""
+    if node.requires_grad:
+        if node.grad is None:
+            node.grad = g if callable(g) and node._grad_fn is not None else _first_arrival(node, g)
         else:
-            if callable(t.grad):
-                t.grad = _first_arrival(t, t.grad)
-            t.grad += g() if callable(g) else g
+            if callable(node.grad):
+                node.grad = _first_arrival(node, node.grad)
+            node.grad += g() if callable(g) else g
 
 
 def recording(inputs) -> bool:
@@ -265,17 +306,26 @@ def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     for inputs that get nothing). This is the hook the quantizer uses to
     install its straight-through rule; all built-in ops route through it
     too. Under ``no_grad`` the output is a plain leaf.
+
+    The tape keeps the input nodes and ``grad_fn``, not the input Tensors.
+    So ``grad_fn`` must capture the arrays and flags it reads when it is
+    made, at forward time, and no input Tensor: an input's data then lives
+    only as long as its Tensor or a rule that captured it. Flags count as of
+    the forward: an input frozen after it still has its gradient computed,
+    which ``_accumulate`` then drops, and one unfrozen after it gets none.
     """
     out = Tensor(out_data, requires_grad=recording(inputs))
     if out.requires_grad:
-        def _backward(g):
-            for t, gi in zip(inputs, grad_fn(g)):
-                if gi is not None:
-                    _accumulate(t, gi)
+        parents = tuple(t.node for t in inputs)
 
-        out._parents = tuple(inputs)
-        out._grad_fn = _backward
-        out._op = op
+        def _backward(g):
+            for node, gi in zip(parents, grad_fn(g)):
+                if gi is not None:
+                    _accumulate(node, gi)
+
+        out.node._parents = parents
+        out.node._grad_fn = _backward
+        out.node._op = op
     return out
 
 
@@ -305,20 +355,28 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ValueError(f"mul: shapes {a.data.shape} and {b.data.shape} differ")
 
+    b_data = b.data if a.requires_grad else None
+    a_data = a.data if b.requires_grad else None
+
     def grad_fn(g):
-        ga = g * b.data if a.requires_grad else None
-        gb = g * a.data if b.requires_grad else None
+        ga = g * b_data if b_data is not None else None
+        gb = g * a_data if a_data is not None else None
         return ga, gb
 
     return custom_op("mul", a.data * b.data, (a, b), grad_fn)
 
 
 def relu(t: Tensor) -> Tensor:
-    # Subgradient at 0 is defined as 0 (strict > in the mask).
-    def grad_fn(g):
-        return (g * (t.data > 0),)
+    # Subgradient at 0 is defined as 0 (strict > in the mask). out > 0 is
+    # t > 0 element for element, NaN included, and a bool takes a quarter
+    # of the float input's bytes.
+    out_data = np.maximum(t.data, 0)
+    mask = out_data > 0 if recording((t,)) else None
 
-    return custom_op("relu", np.maximum(t.data, 0), (t,), grad_fn)
+    def grad_fn(g):
+        return (g * mask,)
+
+    return custom_op("relu", out_data, (t,), grad_fn)
 
 
 # -- linear operators --------------------------------------------------------
@@ -434,25 +492,31 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                              (h + 2 * padding, wd + 2 * padding), (padding, padding), 1,
                              bias.data if bias is not None else None)
 
+    x_data = x.data if weight.requires_grad else None
+    w_data = weight.data if x.requires_grad else None
+    has_bias = bias is not None
+    b_grad = has_bias and bias.requires_grad
+    # the weight gradient runs on the helper when the input gradient runs
+    # beside it and the weight node can hold it pending until the walk
+    # visits it; a leaf would join at once, GEMMs beside GEMMs, slower than
+    # inline
+    wait = x.requires_grad and weight._grad_fn is not None
+
     def grad_fn(g):
         gx = gw = gb = None
-        if weight.requires_grad:
-            # on the helper when the input gradient runs beside it and the
-            # weight node can hold it pending until the walk visits it; a
-            # leaf would join at once, GEMMs beside GEMMs, slower than inline
-            args = (x.data, g, kh, kw, stride, padding)
-            wait = x.requires_grad and weight._grad_fn is not None
+        if x_data is not None:
+            args = (x_data, g, kh, kw, stride, padding)
             gw = fork(_conv2d_weight_grad, *args) if wait else _conv2d_weight_grad(*args)
-        if bias is not None and bias.requires_grad:
+        if b_grad:
             gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o).sum(axis=0)
-        if x.requires_grad:
+        if w_data is not None:
             # a stride-1 conv over g dilated by the stride: tap (ki, kj), in
             # the forward's order, reads the window at (kh-1-ki, kw-1-kj)
-            wk = np.ascontiguousarray(weight.data.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
+            wk = np.ascontiguousarray(w_data.transpose(2, 3, 0, 1)).reshape(kh * kw, o, c)
             gx = _conv2d_tiles(g, list(zip(wk, offsets[::-1])), 1, (h, wd),
                                (h + kh - 1, wd + kw - 1), (kh - 1 - padding, kw - 1 - padding),
                                stride)
-        return (gx, gw) if bias is None else (gx, gw, gb)
+        return (gx, gw, gb) if has_bias else (gx, gw)
 
     return custom_op("conv2d", out_data, inputs, grad_fn)
 
@@ -476,14 +540,17 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
 
     out_data = _linear_forward(x.data, weight.data, bias.data if bias is not None else None)
     inputs = (x, weight) if bias is None else (x, weight, bias)
+    w_data = weight.data if x.requires_grad else None
+    x_data = x.data if weight.requires_grad else None
+    has_bias = bias is not None
+    b_grad = has_bias and bias.requires_grad
 
     def grad_fn(g):
-        gx = g @ weight.data if x.requires_grad else None
-        gw = g.T @ x.data if weight.requires_grad else None
-        if bias is None:
+        gx = g @ w_data if w_data is not None else None
+        gw = g.T @ x_data if x_data is not None else None
+        if not has_bias:
             return gx, gw
-        gb = g.sum(axis=0) if bias.requires_grad else None
-        return gx, gw, gb
+        return gx, gw, g.sum(axis=0) if b_grad else None
 
     return custom_op("linear", out_data, inputs, grad_fn)
 
@@ -543,25 +610,27 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
 
     out_data, mean, inv = _batchnorm2d_forward(
         x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, eps)
+    x_data = x.data if gamma.requires_grad or (training and x.requires_grad) else None
+    gamma_data = gamma.data if x.requires_grad else None
+    gamma_grad, beta_grad = gamma.requires_grad, beta.requires_grad
+    m = np.float32(x.shape[0] * x.shape[2] * x.shape[3])
 
     def grad_fn(g):
         # up to three activation-sized buffers: xhat, rebuilt with the
-        # forward's two ops (the same bits) when gamma trains or the batch
-        # stats take a gradient, gx (dxhat, then the input gradient) and
-        # prod (g * xhat, then dxhat * xhat)
+        # forward's two ops (the same bits), gx (dxhat, then the input
+        # gradient) and prod (g * xhat, then dxhat * xhat)
         axes = (0, 2, 3)
-        gbeta = g.sum(axis=axes) if beta.requires_grad else None
+        gbeta = g.sum(axis=axes) if beta_grad else None
         ggamma = gx = prod = None
-        if gamma.requires_grad or (training and x.requires_grad):
-            xhat = x.data - mean[None, :, None, None]
+        if x_data is not None:
+            xhat = x_data - mean[None, :, None, None]
             xhat *= inv[None, :, None, None]
-        if gamma.requires_grad:
+        if gamma_grad:
             prod = np.multiply(g, xhat)
             ggamma = prod.sum(axis=axes)
-        if x.requires_grad:
-            gx = np.multiply(g, gamma.data[None, :, None, None])
+        if gamma_data is not None:
+            gx = np.multiply(g, gamma_data[None, :, None, None])
             if training:
-                m = np.float32(x.shape[0] * x.shape[2] * x.shape[3])
                 prod = np.multiply(gx, xhat, out=prod)
                 s_dxhat, s_prod = gx.sum(axis=axes), prod.sum(axis=axes)
                 gx *= m
@@ -585,9 +654,10 @@ def global_avg_pool(x: Tensor) -> Tensor:
         raise ValueError(f"global_avg_pool: input must be NCHW, got shape {x.shape}")
     h, w = x.shape[2], x.shape[3]
     inv = np.float32(1.0 / (h * w))
+    shape = x.shape
 
     def grad_fn(g):
-        return (np.broadcast_to((g * inv)[:, :, None, None], x.data.shape).astype(np.float32, copy=True),)
+        return (np.broadcast_to((g * inv)[:, :, None, None], shape).astype(np.float32, copy=True),)
 
     return custom_op("global_avg_pool", x.data.mean(axis=(2, 3)), (x,), grad_fn)
 
@@ -623,7 +693,7 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     out_data = np.asarray(-picked.sum(dtype=np.float32) / np.float32(n)).reshape(())
 
     def grad_fn(g):
-        gx = np.zeros_like(log_probs.data)
+        gx = np.zeros((n, c), np.float32)
         gx[np.arange(n), labels] = -g / np.float32(n)
         return (gx,)
 

@@ -18,8 +18,10 @@ CASES = {
     "conv2d_weight_grad": CONVS,
     "quantize_forward": {"c16x32", "c32x16", "c64x8"},
     "batchnorm2d": {"c16x32", "c32x16", "c64x8"},
+    "relu": {"c16x32", "c32x16", "c64x8"},
 }
-CONTEXT = {"nproc", "blas", "blas_version", "blas_threads", "numpy", "python", "machine", "commit"}
+CONTEXT = {"nproc", "blas", "blas_version", "blas_threads", "blas_core", "numpy", "python",
+           "machine", "commit"}
 
 
 def test_kernel_table_tiny_run_writes_the_schema(tmp_path):
@@ -37,6 +39,8 @@ def test_kernel_table_tiny_run_writes_the_schema(tmp_path):
     assert label == run["context"]["commit"]
     assert isinstance(run["context"]["nproc"], int) and run["context"]["nproc"] >= 1
     assert run["context"]["blas_threads"] == 1
+    core = run["context"]["blas_core"]
+    assert core is None or (isinstance(core, str) and core), core
     assert (run["batch"], run["reps"]) == (2, 1)
     seen = {}
     for row in run["kernels"]:
