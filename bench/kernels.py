@@ -3,11 +3,11 @@ training tape, at the resnet stage shapes.
 
     python3 bench/kernels.py --out BENCH_kernels.json [--src DIR] [--tiny]
 
-Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward`,
-`bwrf.tensor.batchnorm2d` (train mode) and `bwrf.tensor.relu` at 16x32^2,
-32x16^2 and 64x8^2, batch 128, plus the two 3x3 stride-2 convs that open
-stages 2 and 3, the C = 3 stem conv and the two 1x1 stride-2 downsample
-convs. Every op runs taped with trainable parameters, as in a training
+Times `bwrf.tensor.conv2d`, `bwrf.quantizer.quantize_forward`, the two
+in a chain, `bwrf.tensor.batchnorm2d` (train mode) and `bwrf.tensor.relu`
+at 16x32^2, 32x16^2 and 64x8^2, batch 128, plus the two 3x3 stride-2
+convs that open stages 2 and 3, the C = 3 stem conv and the two 1x1
+stride-2 downsample convs. Every op runs taped with trainable parameters, as in a training
 step; its backward is the node's own rule, called on a fixed upstream
 gradient, accumulation into the inputs included. Each conv also gets a `conv2d_input_grad` row
 (weight frozen) and a `conv2d_weight_grad` row (input frozen), so the two
@@ -15,8 +15,12 @@ halves of its backward are timed apart. The stem's input takes a
 gradient too, as in the LP stem, whose input quantizer's scale needs one.
 The `batchnorm2d` backward rebuilds the normalised input (two passes)
 before its gradients; the `relu` forward builds the bool mask its backward
-reads. Each case runs once as a warm-up, then REPS times; the table holds
-the median of each side.
+reads. The `quantize_conv` row is a taped 4-bit quantize feeding a 3x3
+conv whose weight trains: its forward includes the quantize's code, its
+backward the conv's rule, which rebuilds the float input from that code
+for the weight gradient, then the quantize's rule, which rebuilds its
+in-range mask. Each case runs once as a warm-up, then REPS times; the
+table holds the median of each side.
 
 The `bwrf` package is imported from --src (default: this checkout's src/),
 so the same script measures two checkouts on one machine. The run is
@@ -112,6 +116,13 @@ def cases(batch: int, rng):
         yield "quantize_forward", f"c{c}x{e}", [batch, c, e, e], (v, q.scale), \
             lambda v=v, q=q: quantizer.quantize_forward(v, q)
     for c, e in STAGES:
+        v = Tensor(np.maximum(draw(batch, c, e, e), 0), requires_grad=True)
+        q = quantizer.Quantizer(4, signed=False)
+        q.set_scale(quantizer.init_scale(v.data, q))
+        w = Tensor(draw(c, c, 3, 3) * 0.1, requires_grad=True)
+        yield "quantize_conv", f"c{c}x{e}", [batch, c, e, e, c, 3, 1, 1], (v, q.scale, w), \
+            lambda v=v, q=q, w=w: T.conv2d(quantizer.quantize_forward(v, q), w, padding=1)
+    for c, e in STAGES:
         x = Tensor(draw(batch, c, e, e), requires_grad=True)
         gamma = Tensor(np.ones(c, np.float32), requires_grad=True)
         beta = Tensor(np.zeros(c, np.float32), requires_grad=True)
@@ -137,6 +148,10 @@ def measure(run, inputs, reps: int, rng) -> tuple:
         if g is None:
             g = rng.standard_normal(out.shape).astype(out.data.dtype)
         out._grad_fn(g)
+        for node in out.node._parents:  # a taped input's rule runs next, as in the walk
+            if node._grad_fn is not None and node.grad is not None:
+                gi, node.grad = node.grad, None
+                node._grad_fn(gi)
         t2 = time.perf_counter()
         if i:
             fwd.append(t1 - t0)

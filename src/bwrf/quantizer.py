@@ -10,9 +10,12 @@ qmin/qmax at or beyond the respective threshold, optionally multiplied by
 All range comparisons use v/s, matching the clip in the forward.
 
 The forward rounds in buffers it owns and, only when the op goes on the
-tape, keeps for the backward a bool in-range mask and one float32 array
-of the per-element scale-gradient terms; v/s and its rounding are not
-kept. Under ``no_grad`` it keeps nothing.
+tape, keeps for the backward the output's integer code (one byte per
+element) and one float32 array of the per-element scale-gradient terms;
+v/s, its rounding and the in-range mask are not kept, the mask being
+rebuilt from the code and the term. The output node carries the code and
+the scale as its compact form, so the conv after it keeps the code, not
+the float output. Under ``no_grad`` it keeps nothing.
 """
 
 from __future__ import annotations
@@ -97,6 +100,18 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
 
     A disabled quantizer returns its input node unchanged. An uninitialized
     scale is calibrated from this tensor's values first.
+
+    Taped, the op keeps the integer code of its output (int8 signed, uint8
+    unsigned: every width from 2 to 8 bits fits) and the float32 term, and
+    sets ``(code, s32)`` as its output node's compact form, which a conv
+    reads in place of the float output. The backward rebuilds the in-range
+    mask: inside, |term| <= 0.5; outside, term is the threshold itself,
+    which is nonzero but for an unsigned qmin = 0, told apart by code ==
+    qmin and term == 0 (inside, those would mean v/s == 0 == qmin). A NaN
+    element's term is NaN, so it falls outside as before. Its code is
+    unspecified, so a conv rebuilds a finite value where the forward had
+    NaN; no output sees it, since that step's loss is NaN and training
+    stops on it before any row or checkpoint is written.
     """
     if not q.enabled:
         return v
@@ -109,8 +124,11 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     vc = v.data / s32
     np.clip(vc, q.qmin, q.qmax, out=vc)
     rc = _round_half_away(vc)
-    inside = term = None
-    if recording((v, q.scale)):
+    code = term = None
+    taped = recording((v, q.scale))
+    if taped:
+        with np.errstate(invalid="ignore"):  # NaN casts to an unspecified code
+            code = rc.astype(np.int8 if q.signed else np.uint8)
         # v/s lies strictly inside the clip range exactly where its clipped
         # value does, and equals it there
         inside = (q.qmin < vc) & (vc < q.qmax)
@@ -119,14 +137,20 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     out_data = np.multiply(rc, s32, out=rc)
     factor = (np.float32(1.0 / math.sqrt(v.data.size * q.qmax))
               if q.grad_scale_enabled else None)
-
-    v_grad = v.requires_grad
+    v_grad, qmin = v.requires_grad, q.qmin
 
     def grad_fn(g):
-        gv = g * inside if v_grad else None
+        gv = None
+        if v_grad:
+            inside = (term >= -0.5) & (term <= 0.5)
+            inside &= (term != 0) | (code != qmin)
+            gv = g * inside
         gs = (g * term).sum(dtype=np.float32)
         if factor is not None:
             gs = gs * factor
         return gv, np.full((1,), gs, dtype=np.float32)
 
-    return custom_op("quantize", out_data, (v, q.scale), grad_fn)
+    out = custom_op("quantize", out_data, (v, q.scale), grad_fn)
+    if taped:
+        out.node.compact = (code, s32)
+    return out

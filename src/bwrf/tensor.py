@@ -11,14 +11,17 @@ needed, and afterwards only leaves hold one.
 
 The tape is made of nodes, not arrays. A Tensor is its data and its
 ``Node``, which holds the gradient, requires_grad, the parent nodes, the
-backward rule, the op name and the shape. Each rule captures at forward
-time the arrays and flags it reads, and no input Tensor: a conv keeps its
-input only when its weight takes a gradient, and its weight only when its
-input does; a batchnorm keeps its input only when its backward rebuilds
-xhat; a relu keeps a bool mask; a quantize its in-range mask and scale
-term. So an op output that no rule reads, such as a batchnorm output, a
-residual sum or a frozen graft suffix's conv output, is freed as soon as
-the forward code drops its Tensor.
+backward rule, the op name and the shape, and may hold a compact form of
+the data: an integer code and a float32 scale whose product is the data
+to the bit, arrays the op's own rule keeps anyway. Each rule captures at
+forward time the arrays and flags it reads, and no input Tensor: a conv
+keeps its input only when its weight takes a gradient, as its compact
+form when the input node has one, and its weight only when its input
+does; a batchnorm keeps its input only when its backward rebuilds xhat; a
+relu keeps a bool mask; a quantize its output's code and its scale term.
+So an op output that no rule reads, such as a batchnorm output, a
+residual sum, a frozen graft suffix's conv output or a quantized conv
+input, is freed as soon as the forward code drops its Tensor.
 
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
@@ -35,7 +38,8 @@ Tiling keeps each row's sum provided the BLAS computes a GEMM row the same
 way whatever the row count: OpenBLAS 0.3.31's SkylakeX kernels do for the
 network's shapes, not for N in {3, 8} with K >= 32, and numpy sends a
 one-row matmul to gemv, which rounds differently at K = 64. The forward
-keeps no copy of its input; the weight gradient pads its own, or reads
+keeps no copy of its input; the weight gradient rebuilds a compact input
+with the one multiply the quantize did, then pads its own copy, or reads
 each tap's window straight from the input when there is no padding.
 
 Batchnorm centres its input once, for the variance and for xhat, and
@@ -116,9 +120,12 @@ def fork(fn, *args):
 class Node:
     """A tensor's place on the tape: its gradient, whether it takes one, the
     parent nodes, the backward rule, the op name and the shape. It holds no
-    array of values, so an op output no rule reads is freed with its Tensor."""
+    float array of values, so an op output no rule reads is freed with its
+    Tensor. ``compact`` is None or ``(code, scale)``, an integer array and a
+    float32 scalar whose product is the output's data to the bit, which the
+    op's own rule keeps anyway (a taped quantize sets it)."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_grad_fn", "_op", "shape")
+    __slots__ = ("grad", "requires_grad", "_parents", "_grad_fn", "_op", "shape", "compact")
 
     def __init__(self, shape, requires_grad: bool):
         self.grad = None
@@ -127,6 +134,7 @@ class Node:
         self._grad_fn = None
         self._op = "leaf"
         self.shape = shape
+        self.compact = None
 
     def __repr__(self):
         return f"Node(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
@@ -310,9 +318,12 @@ def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     The tape keeps the input nodes and ``grad_fn``, not the input Tensors.
     So ``grad_fn`` must capture the arrays and flags it reads when it is
     made, at forward time, and no input Tensor: an input's data then lives
-    only as long as its Tensor or a rule that captured it. Flags count as of
-    the forward: an input frozen after it still has its gradient computed,
-    which ``_accumulate`` then drops, and one unfrozen after it gets none.
+    only as long as its Tensor or a rule that captured it. A rule may
+    capture an input node's ``compact`` form in place of its data, and the
+    caller may set the output node's ``compact`` to arrays its own rule
+    keeps. Flags count as of the forward: an input frozen after it still
+    has its gradient computed, which ``_accumulate`` then drops, and one
+    unfrozen after it gets none.
     """
     out = Tensor(out_data, requires_grad=recording(inputs))
     if out.requires_grad:
@@ -455,14 +466,23 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, padding):
     return np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
 
 
+def _saved_weight_grad(saved, g, kh, kw, stride, padding):
+    """``_conv2d_weight_grad`` on a saved input: its array, or its compact
+    ``(code, scale)`` form, rebuilt here to the forward's bits."""
+    x = np.multiply(*saved, dtype=np.float32) if isinstance(saved, tuple) else saved
+    return _conv2d_weight_grad(x, g, kh, kw, stride, padding)
+
+
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
            stride: int = 1, padding: int = 0) -> Tensor:
     """2d cross-correlation over NCHW input with an OIkk kernel.
 
     The forward runs ``_conv2d_tiles`` over the padded input, the input
     gradient over g with stride - 1 zeros between its pixels, at stride 1.
-    The weight gradient is ``_conv2d_weight_grad``, forked to the helper
-    when the input needs a gradient too and the weight is not a leaf.
+    The weight gradient is ``_conv2d_weight_grad`` on the input, rebuilt
+    from its node's compact form when it has one, forked to the helper
+    (rebuild included) when the input needs a gradient too and the weight
+    is not a leaf.
     Activations and weights stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:
@@ -492,7 +512,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
                              (h + 2 * padding, wd + 2 * padding), (padding, padding), 1,
                              bias.data if bias is not None else None)
 
-    x_data = x.data if weight.requires_grad else None
+    # a quantized input is kept as its code, a quarter of its bytes
+    x_saved = (x.node.compact or x.data) if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
     has_bias = bias is not None
     b_grad = has_bias and bias.requires_grad
@@ -504,9 +525,9 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
 
     def grad_fn(g):
         gx = gw = gb = None
-        if x_data is not None:
-            args = (x_data, g, kh, kw, stride, padding)
-            gw = fork(_conv2d_weight_grad, *args) if wait else _conv2d_weight_grad(*args)
+        if x_saved is not None:
+            args = (x_saved, g, kh, kw, stride, padding)
+            gw = fork(_saved_weight_grad, *args) if wait else _saved_weight_grad(*args)
         if b_grad:
             gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o).sum(axis=0)
         if w_data is not None:

@@ -576,6 +576,34 @@ def quantize_keep_vs(v, s, qmin, qmax, grad_scale_enabled, g):
     return out_data, gv, np.full((1,), gs, dtype=np.float32)
 
 
+def _round_half_away_in_place(x):
+    t = np.trunc(x)
+    f = x - t
+    t += f >= 0.5
+    t -= f <= -0.5
+    return t
+
+
+def quantize_bool_mask(v, s, qmin, qmax, grad_scale_enabled, g):
+    """(out, gv, gs) of LSQ fake quantization that keeps a bool in-range mask
+    and the term array for the backward, the kernel before it kept the code."""
+    s32 = np.float32(s)
+    vc = v / s32
+    np.clip(vc, qmin, qmax, out=vc)
+    rc = _round_half_away_in_place(vc)
+    inside = (qmin < vc) & (vc < qmax)
+    term = np.subtract(rc, np.multiply(vc, inside, out=vc), out=vc)
+    out_data = np.multiply(rc, s32, out=rc)
+    factor = (np.float32(1.0 / math.sqrt(v.size * qmax))
+              if grad_scale_enabled else None)
+
+    gv = g * inside
+    gs = (g * term).sum(dtype=np.float32)
+    if factor is not None:
+        gs = gs * factor
+    return out_data, gv, np.full((1,), gs, dtype=np.float32)
+
+
 def batchnorm_np_var(x, gamma, beta, running_mean, running_var, training, g,
                       momentum=0.1, eps=1e-5):
     """(out, gx, ggamma, gbeta) of batchnorm2d with np.mean/np.var and fresh

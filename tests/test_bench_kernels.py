@@ -17,6 +17,7 @@ CASES = {
     "conv2d_input_grad": CONVS,
     "conv2d_weight_grad": CONVS,
     "quantize_forward": {"c16x32", "c32x16", "c64x8"},
+    "quantize_conv": {"c16x32", "c32x16", "c64x8"},
     "batchnorm2d": {"c16x32", "c32x16", "c64x8"},
     "relu": {"c16x32", "c32x16", "c64x8"},
 }

@@ -343,6 +343,37 @@ output_dir = {tmp_path}/fp
     assert ckpt.read_bytes() == before[0]
     assert not (tmp_path / "fp" / "train_log.csv").exists()
 
+
+def test_exit_code_5_on_a_nan_pixel_through_the_quantized_stem(fp_run, tmp_path, monkeypatch,
+                                                               capsys, recwarn):
+    """A NaN image pixel reaches the LP stem's 8-bit input quantizer, whose
+    code for it is unspecified: the loss is NaN all the same, the run stops
+    there, writes nothing, and no RuntimeWarning escapes the package."""
+    from bwrf import training
+
+    cfg_path, _, ckpt = fp_run
+    train_step, calls = training.train_step, []
+
+    def nan_at_step_2(model, fp, batch, cfg, opt):
+        calls.append(1)
+        if len(calls) == 2:
+            images = batch[0].copy()
+            images[0, 0, 0, 0] = np.nan
+            batch = (images, batch[1])
+        return train_step(model, fp, batch, cfg, opt)
+
+    monkeypatch.setattr(training, "train_step", nan_at_step_2)
+    out = tmp_path / "lp"
+    assert entry(["train-baseline", "--config", cfg_path, "--set", f"fp_checkpoint={ckpt}",
+                  "--set", "bits=4", "--set", f"output_dir={out}"]) == 5
+    assert "numerics error: loss_total is nan at epoch 1, step 2" in capsys.readouterr().err
+    assert len(calls) == 2, "training went on after the non-finite loss"
+    assert not (out / "lp.ckpt").exists()
+    assert not (out / "train_log.csv").exists()
+    leaked = [w for w in recwarn if issubclass(w.category, RuntimeWarning)
+              and f"{os.sep}bwrf{os.sep}" in w.filename]
+    assert not leaked, [str(w.message) for w in leaked]
+
 def test_eval_branch_q_checks_bit_width(fp_run, capsys):
     cfg_path, _, ckpt = fp_run
     code = entry(["eval", "--config", cfg_path, "--set", f"checkpoint={ckpt}",

@@ -301,11 +301,14 @@ def test_high_bit_quantizer_approaches_identity():
 # -- saved state ---------------------------------------------------------------------
 
 
+def rule(out):
+    """The backward rule behind a custom_op node, returning its raw gradients."""
+    return next(c.cell_contents for c in out._grad_fn.__closure__ if callable(c.cell_contents))
+
+
 def backward_arrays(node):
     """The numpy arrays the backward rule behind a custom_op node holds."""
-    wrapped = next(c.cell_contents for c in node._grad_fn.__closure__
-                   if callable(c.cell_contents))
-    return [c.cell_contents for c in wrapped.__closure__
+    return [c.cell_contents for c in rule(node).__closure__
             if isinstance(c.cell_contents, np.ndarray)]
 
 
@@ -325,7 +328,7 @@ def retained_bytes(fn):
         tracemalloc.stop()
 
 
-def test_taped_quantize_keeps_only_a_bool_mask_and_a_term_array():
+def test_taped_quantize_keeps_only_a_code_and_a_term_array():
     import weakref
 
     q = make_q(bits=4, signed=False, scale=0.1)
@@ -334,13 +337,75 @@ def test_taped_quantize_keeps_only_a_bool_mask_and_a_term_array():
     out, kept = retained_bytes(lambda: quantize_forward(v, q))
     saved = backward_arrays(out)
     assert sorted((a.dtype.name, a.shape) for a in saved) == [
-        ("bool", v.shape), ("float32", v.shape)]
+        ("float32", v.shape), ("uint8", v.shape)]
+    code, s32 = out.node.compact
+    assert any(code is a for a in saved), "the compact form is not the rule's own code"
+    assert np.multiply(code, s32, dtype=np.float32).tobytes() == out.data.tobytes()
     # the node, its closure and the cells take a few KB; any activation-sized
     # float array beyond the term would take 128 KB
-    assert kept - out.data.nbytes - v.size * 5 < 16384, "more than the mask and the term kept"
+    assert kept - out.data.nbytes - v.size * 5 < 16384, "more than the code and the term kept"
     refs = [weakref.ref(a) for a in saved]
-    del out, saved
+    del out, saved, code
     assert all(r() is None for r in refs), "the saved arrays outlive the node"
+
+
+def lattice_grid(q, s):
+    """v/s on every integer and half-integer from qmin - 2 to qmax + 2, each
+    with its float32 neighbours one ulp either side, and +-0, +-inf and NaN."""
+    steps = np.arange(2 * (q.qmin - 2), 2 * (q.qmax + 2) + 1, dtype=np.float32) / 2
+    v = (steps * np.float32(s)).astype(np.float32)
+    v = np.concatenate([v, np.nextafter(v, np.float32(np.inf)),
+                        np.nextafter(v, np.float32(-np.inf))])
+    special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan], np.float32)
+    return np.concatenate([v, special])
+
+
+@pytest.mark.parametrize("bits", range(2, 9))
+@pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
+def test_the_rebuilt_mask_gives_the_bool_mask_kernels_bytes_at_every_width(bits, signed):
+    """The backward rebuilds the in-range mask from the code and the term:
+    out, the input gradient and the scale gradient keep the bytes of the
+    kernel that kept a bool mask, on the lattice ties and their ulp
+    neighbours, at powers-of-two and other scales, for zeros of both signs,
+    infinities and NaN, and no warning escapes the NaN's cast."""
+    import warnings
+
+    rng = np.random.default_rng(bits)
+    for s in (0.25, 1.0, 0.1, 0.0371):
+        q = make_q(bits=bits, signed=signed, grad_scale=True, scale=s)
+        spread = rng.uniform(q.qmin - 2, q.qmax + 2, 4000).astype(np.float32) * np.float32(s)
+        v = np.concatenate([lattice_grid(q, s), spread]).astype(np.float32)
+        g = rng.standard_normal(v.shape).astype(np.float32)
+        want = oracles.quantize_bool_mask(v, s, q.qmin, q.qmax, True, g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = quantize_forward(Tensor(v, requires_grad=True), q)
+            got = (out.data, *rule(out)(g))
+        for name, a, b in zip(("out", "gv", "gs"), got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), f"{name} at scale {s}"
+
+
+def test_a_quantized_conv_keeps_the_code_not_the_float_input():
+    """A taped quantize -> conv: the conv's weight gradient reads the code,
+    so the float quantized input dies with its Tensor, and the weight
+    gradient has the bytes of a conv fed that float array directly."""
+    import gc
+    import weakref
+
+    rng = np.random.default_rng(9)
+    q = make_q(bits=4, signed=False, scale=0.1)
+    v = Tensor(rng.uniform(-0.2, 1.6, (5, 3, 8, 8)).astype(np.float32), requires_grad=True)
+    w = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32), requires_grad=True)
+    g = rng.standard_normal((5, 4, 8, 8)).astype(np.float32)
+    xq = quantize_forward(v, q)
+    _, want = rule(T.conv2d(Tensor(xq.data.copy()), w, padding=1))(g)
+    out = T.conv2d(xq, w, padding=1)
+    ref = weakref.ref(xq.data)
+    del xq
+    gc.collect()
+    assert ref() is None, "the conv keeps the float quantized input"
+    _, gw = rule(out)(g)
+    assert gw.tobytes() == want.tobytes()
 
 
 def test_untaped_quantize_keeps_nothing():

@@ -405,16 +405,16 @@ def test_no_backward_rule_of_a_grafted_step_holds_a_tensor(monkeypatch):
 
 
 # Bytes still allocated after a grafted forward and its loss, in activations
-# of the stem's width (batch 32, 16 channels at 16^2): resnet8 reads 21.9 and
-# resnet14 36.5. A tape that pinned every op output read 40.9 and 69.8.
+# of the stem's width (batch 32, 16 channels at 16^2). Quantized conv inputs
+# kept as float32 read 21.9 (resnet8) and 36.5 (resnet14); a tape that
+# pinned every op output read 40.9 and 69.8.
 FORWARD_KEPT_ACTIVATIONS = 39
 
 
-@pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
-def test_a_grafted_tape_keeps_under_a_fixed_count_of_activations(monkeypatch, arch):
+def forward_kept(monkeypatch, arch):
+    """Bytes still allocated after a grafted forward and its loss, in stem activations."""
     monkeypatch.setattr(T, "_helper", lambda: None)  # the teacher inline, on one thread
     _, grafted = grafted_setup(arch, 32, 16)
-    activation = 32 * 16 * 16 * 16 * 4
     gc.collect()
     tracemalloc.start()
     try:
@@ -424,8 +424,25 @@ def test_a_grafted_tape_keeps_under_a_fixed_count_of_activations(monkeypatch, ar
     finally:
         tracemalloc.stop()
     assert loss._grad_fn is not None
-    assert kept < FORWARD_KEPT_ACTIVATIONS * activation, \
-        f"{arch} tape keeps {kept / activation:.1f} activations"
+    return kept / (32 * 16 * 16 * 16 * 4)
+
+
+@pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
+def test_a_grafted_tape_keeps_under_a_fixed_count_of_activations(monkeypatch, arch):
+    kept = forward_kept(monkeypatch, arch)
+    assert kept < FORWARD_KEPT_ACTIVATIONS, f"{arch} tape keeps {kept:.1f} activations"
+
+
+# The same count with every quantized conv input kept as its integer code:
+# resnet8 reads 16.0 and resnet14 27.1. Keeping them as float32 read 21.9
+# and 36.5.
+CODE_KEPT_ACTIVATIONS = {"resnet8": 19, "resnet14": 31}
+
+
+@pytest.mark.parametrize("arch", sorted(CODE_KEPT_ACTIVATIONS))
+def test_a_grafted_tape_keeps_each_quantized_conv_input_as_its_code(monkeypatch, arch):
+    kept = forward_kept(monkeypatch, arch)
+    assert kept < CODE_KEPT_ACTIVATIONS[arch], f"{arch} tape keeps {kept:.1f} activations"
 
 
 def test_a_frozen_eval_chain_keeps_only_the_relu_mask():
