@@ -147,11 +147,7 @@ def measure(run, inputs, reps: int, rng) -> tuple:
         t1 = time.perf_counter()
         if g is None:
             g = rng.standard_normal(out.shape).astype(out.data.dtype)
-        out._grad_fn(g)
-        for node in out.node._parents:  # a taped input's rule runs next, as in the walk
-            if node._grad_fn is not None and node.grad is not None:
-                gi, node.grad = node.grad, None
-                node._grad_fn(gi)
+        out.backward(g)
         t2 = time.perf_counter()
         if i:
             fwd.append(t1 - t0)

@@ -5,8 +5,9 @@ norm, ReLU, residual add, global average pooling, log-softmax, and the
 reductions needed for classification and distillation losses. Gradients
 accumulate by summation when a node feeds several consumers, so a shared
 feature map receives the sum of the contributions from every branch that
-consumed it. The backward walk drops each node's gradient once its rule
-has run, so the tape holds intermediate gradients only while they are
+consumed it. ``backward``, the one runner of backward rules, walks from
+ones or a given upstream gradient and drops each node's gradient once its
+rule has run, so the tape holds intermediate gradients only while they are
 needed, and afterwards only leaves hold one.
 
 The tape is made of nodes, not arrays. A Tensor is its data and its
@@ -140,10 +141,9 @@ class Node:
         return f"Node(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
 
 
-def _node_field(name, settable=False):
-    """A Tensor attribute that reads, and if settable writes, its node's."""
-    return property(lambda t: getattr(t.node, name),
-                    (lambda t, value: setattr(t.node, name, value)) if settable else None)
+def _node_field(name):
+    """A Tensor attribute that reads and writes its node's."""
+    return property(lambda t: getattr(t.node, name), lambda t, value: setattr(t.node, name, value))
 
 
 class Tensor:
@@ -155,11 +155,8 @@ class Tensor:
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
         self.node = Node(self.data.shape, bool(requires_grad))
 
-    grad = _node_field("grad", settable=True)
-    requires_grad = _node_field("requires_grad", settable=True)
-    _parents = _node_field("_parents")
-    _grad_fn = _node_field("_grad_fn")
-    _op = _node_field("_op")
+    grad = _node_field("grad")
+    requires_grad = _node_field("requires_grad")
 
     @property
     def shape(self):
@@ -181,7 +178,7 @@ class Tensor:
         return Tensor(self.data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        return f"Tensor(shape={self.data.shape}, op={self.node._op}, requires_grad={self.requires_grad})"
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -236,24 +233,27 @@ class Tensor:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self):
+    def backward(self, grad=None):
         """Assign ``grad`` on every reachable leaf with ``requires_grad``.
 
-        The loss must be scalar. Each operation record in the graph is
-        visited exactly once, in reverse topological order; multi-consumer
-        nodes therefore receive their full summed gradient before their own
-        rule runs. The nodes whose parents are all leaves come last, in
-        their own order, and a pending gradient is resolved on the visit.
-        A node's gradient is dropped once its rule has run, so after the
-        walk only leaves hold one, and a second walk over the same tape,
-        with the leaf gradients reset, gives the same leaf gradients.
+        The walk, the one runner of backward rules, starts from ``grad``, this
+        output's upstream gradient as given, or from ones at a scalar loss.
+        Each operation record in the graph is visited exactly once, in
+        reverse topological order; multi-consumer nodes therefore receive
+        their full summed gradient before their own rule runs. The nodes
+        whose parents are all leaves come last, in their own order, and a
+        pending gradient is resolved on the visit. Only leaves keep a
+        gradient, so a second walk over the same tape, with the leaf
+        gradients reset, gives the same leaf gradients.
         """
-        if self.data.size != 1:
-            raise ValueError(f"backward requires a scalar loss, got shape {self.data.shape}")
+        if grad is None and self.data.size != 1:
+            raise ValueError(f"backward requires a scalar loss or a grad, got shape {self.shape}")
+        if grad is not None and grad.shape != self.shape:
+            raise ValueError(f"backward: grad shape {grad.shape} differs from output shape {self.shape}")
         order = _reverse_topo(self)
         late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
         order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
-        self.node.grad = np.ones_like(self.data)
+        self.node.grad = np.ones_like(self.data) if grad is None else grad
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
@@ -521,7 +521,7 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     # beside it and the weight node can hold it pending until the walk
     # visits it; a leaf would join at once, GEMMs beside GEMMs, slower than
     # inline
-    wait = x.requires_grad and weight._grad_fn is not None
+    wait = x.requires_grad and weight.node._grad_fn is not None
 
     def grad_fn(g):
         gx = gw = gb = None

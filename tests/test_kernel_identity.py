@@ -51,7 +51,7 @@ def check_conv(n, c, o, k, s, p, extent, bias, seed, compare=assert_same_bytes):
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
     bt = Tensor(b, requires_grad=True) if bias else None
     out = T.conv2d(xt, wt, bt, stride=s, padding=p)
-    out._grad_fn(g)
+    out.backward(g)
     compare(out.data, ref_out, "out")
     compare(xt.grad, first_arrival(xt, ref_gx), "gx")
     compare(wt.grad, first_arrival(wt, ref_gw), "gw")
@@ -163,7 +163,7 @@ def test_quantize_matches_the_kernel_that_kept_vs_and_rc(signed, grad_scale):
 
     vt = Tensor(v, requires_grad=True)
     out = quantize_forward(vt, q)
-    out._grad_fn(g)
+    out.backward(g)
     assert_same_bytes(out.data, ref_out, "out")
     assert_same_bytes(vt.grad, first_arrival(vt, ref_gv), "gv")
     assert_same_bytes(q.scale.grad, first_arrival(q.scale, ref_gs), "gs")
@@ -171,7 +171,7 @@ def test_quantize_matches_the_kernel_that_kept_vs_and_rc(signed, grad_scale):
     # an input that takes no gradient (the images) still trains the scale
     q.scale.grad = None
     out = quantize_forward(Tensor(v), q)
-    out._grad_fn(g)
+    out.backward(g)
     assert_same_bytes(out.data, ref_out, "out without input gradient")
     assert_same_bytes(q.scale.grad, first_arrival(q.scale, ref_gs), "gs")
     with T.no_grad():
@@ -199,7 +199,7 @@ def test_batchnorm_matches_the_np_var_kernel(training, shape):
     xt = Tensor(x, requires_grad=True)
     gt, bt = Tensor(gamma, requires_grad=True), Tensor(beta, requires_grad=True)
     out = T.batchnorm2d(xt, gt, bt, rm, rv, training)
-    out._grad_fn(g)
+    out.backward(g)
     assert_same_bytes(out.data, ref_out, "out")
     assert_same_bytes(xt.grad, first_arrival(xt, ref_gx), "gx")
     assert_same_bytes(gt.grad, first_arrival(gt, ref_gg), "ggamma")

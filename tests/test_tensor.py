@@ -101,7 +101,7 @@ def test_conv_forward_keeps_no_buffer_alive(monkeypatch, case):
     with T.no_grad() if case == "untaped" else contextlib.nullcontext():
         out = T.conv2d(x, w, padding=1)
     monkeypatch.undo()
-    assert (out._grad_fn is None) == (case == "untaped")
+    assert out.requires_grad == (case != "untaped")
     assert len(spy.made) >= 4, "the spy saw no forward buffer"
     assert all(a is out.data for a in spy.alive()), "a conv forward buffer outlives the forward"
 
@@ -115,7 +115,7 @@ def test_conv_backward_keeps_no_buffer_alive(monkeypatch):
     out = T.conv2d(x, w, padding=1)
     spy = AllocationSpy()
     monkeypatch.setattr(T, "np", spy)
-    out._grad_fn(np.ones(out.shape, np.float32))
+    out.backward(np.ones(out.shape, np.float32))
     monkeypatch.undo()
     assert x.grad is not None and w.grad is not None
     assert len(spy.made) >= 4, "the spy saw no backward buffer"
@@ -127,9 +127,9 @@ def test_no_grad_restores_the_tape_after_an_exception():
     w = Tensor(np.ones(3, np.float32), requires_grad=True)
     with pytest.raises(RuntimeError, match="inside"):
         with T.no_grad():
-            assert T.relu(w)._grad_fn is None
+            assert not T.relu(w).requires_grad
             raise RuntimeError("raised inside no_grad")
-    assert T.relu(w)._grad_fn is not None
+    assert T.relu(w).requires_grad
 
 
 def test_conv_shape_errors():
@@ -232,7 +232,7 @@ def test_taped_batchnorm_keeps_no_activation_beside_its_output(training):
         live = live_numpy_blocks(x.data.nbytes)
     finally:
         tracemalloc.stop()
-    assert out._grad_fn is not None
+    assert out.requires_grad
     assert live == [out.data.nbytes], "batchnorm keeps an activation-sized array for its backward"
 
 
@@ -300,6 +300,23 @@ def test_backward_requires_scalar():
     x = Tensor(np.zeros((2, 2), np.float32), requires_grad=True)
     with pytest.raises(ValueError, match="scalar"):
         T.relu(x).backward()
+
+
+def test_backward_seeds_a_non_scalar_output_with_the_grad_it_is_given():
+    vals = np.array([[1.0, -2.0], [0.5, 3.0]], np.float32)
+    g = np.array([[0.25, 4.0], [-1.5, 2.0]], np.float32)
+    x = Tensor(vals, requires_grad=True)
+    out = T.relu(x)
+    with pytest.raises(ValueError, match="scalar"):
+        out.backward()
+    out.backward(g)
+    np.testing.assert_array_equal(x.grad, np.where(vals > 0, g, 0))
+
+
+def test_backward_rejects_a_grad_of_another_shape():
+    out = T.relu(Tensor(np.zeros((2, 2), np.float32), requires_grad=True))
+    with pytest.raises(ValueError, match=r"grad shape \(2, 3\) differs from output shape \(2, 2\)"):
+        out.backward(np.ones((2, 3), np.float32))
 
 
 def test_split_consumers_match_combined_expression():
@@ -423,7 +440,7 @@ def forward_kept(monkeypatch, arch):
         kept = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
-    assert loss._grad_fn is not None
+    assert loss.requires_grad
     return kept / (32 * 16 * 16 * 16 * 4)
 
 
@@ -462,7 +479,7 @@ def test_a_frozen_eval_chain_keeps_only_the_relu_mask():
         live = live_numpy_blocks(out.size)
     finally:
         tracemalloc.stop()
-    assert out._grad_fn is not None
+    assert out.requires_grad
     assert live == [out.size, out.data.nbytes], "the chain keeps a float activation"
 
 

@@ -20,6 +20,7 @@ from bwrf.cli import entry
 from bwrf.config import RunConfig
 from bwrf.graft import bwrf_forward, total_loss
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
+from bwrf.quantizer import Quantizer, quantize_forward
 from bwrf.synthetic import write_synthetic_idx
 from bwrf.tensor import Tensor
 
@@ -184,7 +185,7 @@ def test_backward_leaves_no_pending_gradient(monkeypatch, case):
     assert grads[0] == grads[1]
 
 
-def test_a_direct_grad_fn_call_resolves_the_weight_gradient(monkeypatch):
+def test_a_backward_with_an_upstream_gradient_resolves_the_weight_gradient(monkeypatch):
     """A leaf weight's gradient could not wait for the walk, so it runs inline."""
     threads = weight_grad_threads(monkeypatch)
     rng = np.random.default_rng(12)
@@ -196,11 +197,39 @@ def test_a_direct_grad_fn_call_resolves_the_weight_gradient(monkeypatch):
         if inline:
             force_inline(monkeypatch)
         xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-        T.conv2d(xt, wt, padding=1)._grad_fn(g)
+        T.conv2d(xt, wt, padding=1).backward(g)
         assert type(xt.grad) is np.ndarray and type(wt.grad) is np.ndarray
         grads.append((xt.grad.tobytes(), wt.grad.tobytes()))
     assert grads[0] == grads[1]
     assert threads == ["MainThread", "MainThread"]
+
+
+def test_a_backward_with_an_upstream_gradient_resolves_a_pending_weight_gradient(monkeypatch):
+    """A quantized weight holds its gradient pending until the walk visits
+    it: out.backward(g) resolves it, to the bytes of a scalar loss whose
+    gradient at out is g, with the helper and inline."""
+    helper = T._helper() is not None
+    threads = weight_grad_threads(monkeypatch)
+    rng = np.random.default_rng(13)
+    x = rng.uniform(0, 2, (4, 3, 6, 6)).astype(np.float32)
+    w = (rng.standard_normal((5, 3, 3, 3)) * 0.3).astype(np.float32)
+    g = rng.standard_normal((4, 5, 6, 6)).astype(np.float32)
+    grads = {}
+    for inline in (False, True):
+        if inline:
+            force_inline(monkeypatch)
+        for seeded in (True, False):
+            aq, wq = Quantizer(4, signed=False), Quantizer(4, signed=True)
+            aq.set_scale(0.2)
+            wq.set_scale(0.1)
+            xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
+            out = T.conv2d(quantize_forward(xt, aq), quantize_forward(wt, wq), padding=1)
+            root = out if seeded else T.mul(out, Tensor(g)).sum()
+            root.backward(g if seeded else None)
+            assert_all_resolved(root)
+            grads[inline, seeded] = [t.grad.tobytes() for t in (xt, wt, aq.scale, wq.scale)]
+    assert all(run == grads[True, False] for run in grads.values())
+    assert [name.startswith(T.HELPER) for name in threads] == [helper, helper, False, False]
 
 
 # -- failure and nesting ---------------------------------------------------------------
@@ -271,5 +300,5 @@ def test_the_lp_forward_records_its_tape_while_the_teacher_runs():
     g = bwrf_forward(lp, teacher, Tensor(np.ones((2, 3, 8, 8), np.float32)), RunConfig())
     assert seen["started"] and seen["released"], "the two forwards did not overlap"
     assert seen["thread"].startswith(T.HELPER)
-    assert g.y_q._grad_fn is not None and g.y_f._grad_fn is None
-    assert all(y._grad_fn is not None for y in g.y_m)
+    assert g.y_q.requires_grad and not g.y_f.requires_grad
+    assert all(y.requires_grad for y in g.y_m)
