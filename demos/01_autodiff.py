@@ -43,11 +43,12 @@ def main():
                     requires_grad=True)
     head = Tensor(rng.standard_normal((5, 3)).astype(np.float32) * 0.4,
                   requires_grad=True)
+    head_bias = Tensor(np.zeros(5, np.float32), requires_grad=True)
     labels = np.array([2])
 
     def forward():
         h = T.relu(T.conv2d(image, weight, stride=1, padding=1))
-        return T.cross_entropy(T.linear(T.global_avg_pool(h), head), labels)
+        return T.cross_entropy(T.linear(T.global_avg_pool(h), head, head_bias), labels)
 
     loss = forward()
     loss.backward()

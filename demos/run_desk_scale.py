@@ -51,9 +51,11 @@ def read_log(path):
 
 
 def epoch_sets(n):
-    """Override the schedule length, keeping the decay points at the same fractions."""
+    """Override the schedule length, keeping the decay points at the same
+    fractions; where a short schedule puts both on one epoch, it decays once."""
+    milestones = sorted({n // 2, n * 3 // 4})
     return ["--set", f"epochs={n}",
-            "--set", f"milestones={n // 2}, {n * 3 // 4}"]
+            "--set", "milestones=" + ", ".join(map(str, milestones))]
 
 
 def stage_sets(args, out_dir):

@@ -128,8 +128,8 @@ def _set(cfg: RunConfig, key: str, raw: str):
         raise ConfigError(f"n_blocks = {raw} but {cfg.arch} has {block_spec(cfg).n_blocks} blocks")
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    cfg = dataclasses.replace(base) if base is not None else RunConfig()
+def parse_config_text(text: str) -> RunConfig:
+    cfg = RunConfig()
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:

@@ -195,8 +195,7 @@ def train_step(lp, fp, batch, cfg, optimizer) -> dict:
         raise ValueError("empty batch")
     for _, p, _ in lp.param_groups():
         p.grad = None
-    x = images if isinstance(images, Tensor) else Tensor(images)
-    g = bwrf_forward(lp, fp, x, cfg)
+    g = bwrf_forward(lp, fp, Tensor(images), cfg)
     loss, lt, ld = total_loss(g, labels, cfg)
     loss.backward()
     optimizer.step()

@@ -65,7 +65,7 @@ class Conv2d(QuantizedLayer):
     """Bias-free: every conv feeds a batchnorm."""
 
     def __init__(self, in_ch: int, out_ch: int, k: int, stride: int = 1,
-                 padding: int = 0, rng=None):
+                 padding: int = 0, *, rng):
         std = np.sqrt(2.0 / (in_ch * k * k))
         w = rng.standard_normal((out_ch, in_ch, k, k)) * std
         self.weight = Tensor(w.astype(np.float32), requires_grad=True)
@@ -73,11 +73,11 @@ class Conv2d(QuantizedLayer):
         self.padding = padding
 
     def op(self, x: Tensor, w: Tensor) -> Tensor:
-        return T.conv2d(x, w, self.bias, stride=self.stride, padding=self.padding)
+        return T.conv2d(x, w, stride=self.stride, padding=self.padding)
 
 
 class Linear(QuantizedLayer):
-    def __init__(self, in_f: int, out_f: int, rng=None):
+    def __init__(self, in_f: int, out_f: int, *, rng):
         bound = np.sqrt(1.0 / in_f)
         w = rng.uniform(-bound, bound, size=(out_f, in_f))
         self.weight = Tensor(w.astype(np.float32), requires_grad=True)

@@ -86,12 +86,11 @@ def _round_half_away(x):
     return t
 
 
-def init_scale(v, q: Quantizer) -> float:
-    """Calibration value 2 * mean(|v|) / sqrt(qmax), floored at 1e-8."""
-    data = np.asarray(v.data if isinstance(v, Tensor) else v)
-    if data.size == 0:
-        raise ValueError("init_scale needs a non-empty tensor")
-    s = 2.0 * float(np.abs(data, dtype=np.float64).mean()) / math.sqrt(q.qmax)
+def init_scale(v: np.ndarray, q: Quantizer) -> float:
+    """Calibration value 2 * mean(|v|) / sqrt(qmax) of an array, floored at 1e-8."""
+    if v.size == 0:
+        raise ValueError("init_scale needs a non-empty array")
+    s = 2.0 * float(np.abs(v, dtype=np.float64).mean()) / math.sqrt(q.qmax)
     return max(s, SCALE_FLOOR)
 
 

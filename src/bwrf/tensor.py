@@ -1,6 +1,7 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
-The operator set covers small residual CNNs: convolution, linear, batch
+The operator set covers small residual CNNs: bias-free convolution (each
+conv feeds a batchnorm), linear with a bias (the classifier head), batch
 norm, ReLU, residual add, global average pooling, log-softmax, and the
 reductions needed for classification and distillation losses. Gradients
 accumulate by summation when a node feeds several consumers, so a shared
@@ -52,10 +53,13 @@ nothing. A first gradient arrival is written once as g + 0.0 into a
 fresh float32 array of the input's shape, which is zeros + g to the bit
 (-0 becomes +0).
 
-Internal forward kernels (the ``_*_forward`` helpers) follow the dtype of
-their inputs; the public Tensor API stores float32. The finite-difference
-oracles do not use them: they difference independently written float64
-functions (tests/oracles.py).
+The two internal forward kernels, ``_batchnorm2d_forward`` and
+``_log_softmax_forward``, follow the dtype of their inputs; the public
+Tensor API stores float32. ``graft.kd_loss`` also reads
+``_log_softmax_forward``: the teacher's probabilities go through the
+student's kernel, so identical logits give an exactly-zero loss. The
+finite-difference oracles do not use them: they difference
+independently written float64 functions (tests/oracles.py).
 
 A helper thread, made by the first ``fork`` when the process may use a
 second CPU, runs the frozen teacher's forward beside the LP forward
@@ -413,7 +417,7 @@ def _landing(offset, step, extent, size):
 CONV_TILE = 3
 
 
-def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step, bias=None):
+def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step):
     """The conv kernel: each tile of CONV_TILE NCHW ``src`` images goes
     channels-last into a zeroed ``buf_hw`` buffer, pixel (i, j) at offset +
     step * (i, j); each tap (C-contiguous (C, O) weight, (di, dj)), in order,
@@ -439,17 +443,17 @@ def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step, bias=None):
             np.matmul(tap[:m].reshape(r, c), wtap, out=part[:r] if j else acc[:r])
             if j:
                 acc[:r] += part[:r]
-        if bias is not None:
-            acc[:r] += bias
         out[i:i + m] = acc[:r].reshape(m, oh, ow, o).transpose(0, 3, 1, 2)
     return out
 
 
-def _conv2d_weight_grad(x, g, kh, kw, stride, padding):
-    """OIkk gradient of a conv's weight: one ``gout.T @ window`` GEMM per
-    tap in row-major order over all N*OH*OW rows, each window copied
-    channels-last from a padded copy of the whole NCHW batch x, or straight
-    from x when there is no padding."""
+def _conv2d_weight_grad(saved, g, kh, kw, stride, padding):
+    """OIkk gradient of a conv's weight from its saved input, the NCHW array
+    or its compact ``(code, scale)`` form, rebuilt here to the forward's
+    bits: one ``gout.T @ window`` GEMM per tap in row-major order over all
+    N*OH*OW rows, each window copied channels-last from a padded copy of the
+    whole batch, or straight from the input when there is no padding."""
+    x = np.multiply(*saved, dtype=np.float32) if isinstance(saved, tuple) else saved
     n, c, h, wd = x.shape
     o, oh, ow = g.shape[1:]
     gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
@@ -466,16 +470,10 @@ def _conv2d_weight_grad(x, g, kh, kw, stride, padding):
     return np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
 
 
-def _saved_weight_grad(saved, g, kh, kw, stride, padding):
-    """``_conv2d_weight_grad`` on a saved input: its array, or its compact
-    ``(code, scale)`` form, rebuilt here to the forward's bits."""
-    x = np.multiply(*saved, dtype=np.float32) if isinstance(saved, tuple) else saved
-    return _conv2d_weight_grad(x, g, kh, kw, stride, padding)
-
-
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
-           stride: int = 1, padding: int = 0) -> Tensor:
-    """2d cross-correlation over NCHW input with an OIkk kernel.
+def conv2d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> Tensor:
+    """Bias-free 2d cross-correlation over NCHW input with an OIkk kernel;
+    every conv in the networks feeds a batchnorm, whose batch mean would
+    cancel a bias.
 
     The forward runs ``_conv2d_tiles`` over the padded input, the input
     gradient over g with stride - 1 zeros between its pixels, at stride 1.
@@ -494,29 +492,22 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             f"conv2d: input has {x.shape[1]} channels but weight expects {weight.shape[1]}")
     if stride < 1 or padding < 0:
         raise ValueError(f"conv2d: invalid stride={stride} padding={padding}")
-    if bias is not None and bias.shape != (weight.shape[0],):
-        raise ValueError(
-            f"conv2d: bias shape {bias.shape} does not match {weight.shape[0]} output channels")
 
-    n, _, h, wd = x.shape
+    _, _, h, wd = x.shape
     o, c, kh, kw = weight.shape
     oh = (h + 2 * padding - kh) // stride + 1
     ow = (wd + 2 * padding - kw) // stride + 1
     if oh < 1 or ow < 1:
         raise ValueError(f"conv2d: kernel {kh}x{kw} does not fit {h}x{wd} input at padding {padding}")
 
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     offsets = [(ki, kj) for ki in range(kh) for kj in range(kw)]
     wt = np.ascontiguousarray(weight.data.transpose(2, 3, 1, 0)).reshape(kh * kw, c, o)
     out_data = _conv2d_tiles(x.data, list(zip(wt, offsets)), stride, (oh, ow),
-                             (h + 2 * padding, wd + 2 * padding), (padding, padding), 1,
-                             bias.data if bias is not None else None)
+                             (h + 2 * padding, wd + 2 * padding), (padding, padding), 1)
 
     # a quantized input is kept as its code, a quarter of its bytes
     x_saved = (x.node.compact or x.data) if weight.requires_grad else None
     w_data = weight.data if x.requires_grad else None
-    has_bias = bias is not None
-    b_grad = has_bias and bias.requires_grad
     # the weight gradient runs on the helper when the input gradient runs
     # beside it and the weight node can hold it pending until the walk
     # visits it; a leaf would join at once, GEMMs beside GEMMs, slower than
@@ -524,12 +515,10 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
     wait = x.requires_grad and weight.node._grad_fn is not None
 
     def grad_fn(g):
-        gx = gw = gb = None
+        gx = gw = None
         if x_saved is not None:
             args = (x_saved, g, kh, kw, stride, padding)
-            gw = fork(_saved_weight_grad, *args) if wait else _saved_weight_grad(*args)
-        if b_grad:
-            gb = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o).sum(axis=0)
+            gw = fork(_conv2d_weight_grad, *args) if wait else _conv2d_weight_grad(*args)
         if w_data is not None:
             # a stride-1 conv over g dilated by the stride: tap (ki, kj), in
             # the forward's order, reads the window at (kh-1-ki, kw-1-kj)
@@ -537,43 +526,32 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None,
             gx = _conv2d_tiles(g, list(zip(wk, offsets[::-1])), 1, (h, wd),
                                (h + kh - 1, wd + kw - 1), (kh - 1 - padding, kw - 1 - padding),
                                stride)
-        return (gx, gw, gb) if has_bias else (gx, gw)
+        return gx, gw
 
-    return custom_op("conv2d", out_data, inputs, grad_fn)
-
-
-def _linear_forward(x, w, b):
-    out = x @ w.T
-    if b is not None:
-        out = out + b
-    return out
+    return custom_op("conv2d", out_data, (x, weight), grad_fn)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None = None) -> Tensor:
-    """x (N,D) @ weight (C,D)^T + bias (C,)."""
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """x (N,D) @ weight (C,D)^T + bias (C,): the classifier head, the one
+    layer with a bias."""
     if x.ndim != 2 or weight.ndim != 2:
         raise ValueError(f"linear: need 2d input and weight, got {x.shape} and {weight.shape}")
     if x.shape[1] != weight.shape[1]:
         raise ValueError(
             f"linear: input feature size {x.shape[1]} does not match weight's {weight.shape[1]}")
-    if bias is not None and bias.shape != (weight.shape[0],):
+    if bias.shape != (weight.shape[0],):
         raise ValueError(f"linear: bias shape {bias.shape} vs {weight.shape[0]} outputs")
 
-    out_data = _linear_forward(x.data, weight.data, bias.data if bias is not None else None)
-    inputs = (x, weight) if bias is None else (x, weight, bias)
     w_data = weight.data if x.requires_grad else None
     x_data = x.data if weight.requires_grad else None
-    has_bias = bias is not None
-    b_grad = has_bias and bias.requires_grad
+    b_grad = bias.requires_grad
 
     def grad_fn(g):
         gx = g @ w_data if w_data is not None else None
         gw = g.T @ x_data if x_data is not None else None
-        if not has_bias:
-            return gx, gw
         return gx, gw, g.sum(axis=0) if b_grad else None
 
-    return custom_op("linear", out_data, inputs, grad_fn)
+    return custom_op("linear", x.data @ weight.data.T + bias.data, (x, weight, bias), grad_fn)
 
 
 def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,

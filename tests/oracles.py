@@ -19,7 +19,7 @@ from bwrf.tensor import Tensor
 # -- forward-value oracles ----------------------------------------------------
 
 
-def conv2d_bruteforce(x, w, b, stride, padding):
+def conv2d_bruteforce(x, w, stride, padding):
     """Nested-loop cross-correlation, float64."""
     x = np.asarray(x, dtype=np.float64)
     w = np.asarray(w, dtype=np.float64)
@@ -38,11 +38,11 @@ def conv2d_bruteforce(x, w, b, stride, padding):
                         for ki in range(kh):
                             for kj in range(kw):
                                 acc += xp[ni, ci, yi * stride + ki, xi * stride + kj] * w[oi, ci, ki, kj]
-                    out[ni, oi, yi, xi] = acc + (b[oi] if b is not None else 0.0)
+                    out[ni, oi, yi, xi] = acc
     return out
 
 
-def conv2d_f64(x, w, b, stride, padding):
+def conv2d_f64(x, w, stride, padding):
     """scipy.correlate2d based convolution, float64; independent of bwrf.tensor."""
     n, c = x.shape[0], x.shape[1]
     o = w.shape[0]
@@ -54,10 +54,7 @@ def conv2d_f64(x, w, b, stride, padding):
             acc = sum(correlate2d(xp[ni, ci], w[oi, ci], mode="valid") for ci in range(c))
             chans.append(acc[::stride, ::stride])
         rows.append(np.stack(chans))
-    out = np.stack(rows)
-    if b is not None:
-        out = out + b[None, :, None, None]
-    return out
+    return np.stack(rows)
 
 
 def linear_bruteforce(x, w, b):
@@ -69,13 +66,12 @@ def linear_bruteforce(x, w, b):
             acc = 0.0
             for di in range(d):
                 acc += float(x[ni, di]) * float(w[ci, di])
-            out[ni, ci] = acc + (float(b[ci]) if b is not None else 0.0)
+            out[ni, ci] = acc + float(b[ci])
     return out
 
 
 def linear_f64(x, w, b):
-    out = x @ w.T
-    return out if b is None else out + b
+    return x @ w.T + b
 
 
 def batchnorm_f64(x, gamma, beta, rm, rv, training, eps=1e-5):
@@ -246,10 +242,10 @@ def _draw_nonkink(rng, shape, margin=0.05):
 def _case_conv2d(rng):
     stride = int(rng.integers(1, 3))
     padding = int(rng.integers(0, 2))
-    arrays = (_draw(rng, (2, 2, 5, 5)), _draw(rng, (3, 2, 3, 3)), _draw(rng, (3,)))
+    arrays = (_draw(rng, (2, 2, 5, 5)), _draw(rng, (3, 2, 3, 3)))
     return arrays, (
-        lambda x, w, b: T.conv2d(x, w, b, stride=stride, padding=padding),
-        lambda x, w, b: conv2d_f64(x, w, b, stride, padding),
+        lambda x, w: T.conv2d(x, w, stride=stride, padding=padding),
+        lambda x, w: conv2d_f64(x, w, stride, padding),
     )
 
 
@@ -257,12 +253,12 @@ def _case_conv2d_nobias(rng):
     arrays = (_draw(rng, (2, 2, 4, 4)), _draw(rng, (2, 2, 3, 3)))
     return arrays, (
         lambda x, w: T.conv2d(x, w, stride=1, padding=1),
-        lambda x, w: conv2d_f64(x, w, None, 1, 1),
+        lambda x, w: conv2d_f64(x, w, 1, 1),
     )
 
 
 def _conv_geometry_case(k, stride, padding):
-    """One of the network's fixed conv geometries, bias-free as in the network.
+    """One of the network's fixed conv geometries.
 
     Two input and three output channels, so a swapped channel axis in the
     kernel's weight layout shows up as a shape or value mismatch.
@@ -271,7 +267,7 @@ def _conv_geometry_case(k, stride, padding):
         arrays = (_draw(rng, (1, 2, 4, 4)), _draw(rng, (3, 2, k, k)))
         return arrays, (
             lambda x, w: T.conv2d(x, w, stride=stride, padding=padding),
-            lambda x, w: conv2d_f64(x, w, None, stride, padding),
+            lambda x, w: conv2d_f64(x, w, stride, padding),
         )
     return case
 
@@ -359,19 +355,19 @@ def _case_chain(rng):
     # Redraw until no conv output sits near the relu kink, where central
     # differences disagree with the subgradient.
     for _ in range(100):
-        arrays = (_draw(rng, (2, 2, 5, 5)), _draw(rng, (3, 2, 3, 3)), _draw(rng, (4, 3)))
-        pre = conv2d_f64(arrays[0].astype(np.float64), arrays[1].astype(np.float64),
-                         None, stride, 1)
+        arrays = (_draw(rng, (2, 2, 5, 5)), _draw(rng, (3, 2, 3, 3)), _draw(rng, (4, 3)),
+                  _draw(rng, (4,)))
+        pre = conv2d_f64(arrays[0].astype(np.float64), arrays[1].astype(np.float64), stride, 1)
         if np.abs(pre).min() > 0.05:
             break
 
-    def op32(x, w, w2):
+    def op32(x, w, w2, b2):
         h = T.relu(T.conv2d(x, w, stride=stride, padding=1))
-        return T.log_softmax(T.linear(T.global_avg_pool(h), w2))
+        return T.log_softmax(T.linear(T.global_avg_pool(h), w2, b2))
 
-    def op64(x, w, w2):
-        h = relu_f64(conv2d_f64(x, w, None, stride, 1))
-        return log_softmax_f64(linear_f64(gap_f64(h), w2, None))
+    def op64(x, w, w2, b2):
+        h = relu_f64(conv2d_f64(x, w, stride, 1))
+        return log_softmax_f64(linear_f64(gap_f64(h), w2, b2))
 
     return arrays, (op32, op64)
 
@@ -511,8 +507,8 @@ def _taps_one_pass(kh, kw, stride, oh, ow):
                    slice(kj, kj + stride * (ow - 1) + 1, stride))
 
 
-def conv2d_one_pass(x, w, b, stride, padding, g):
-    """(out, gx, gw, gb) of the shifted-GEMM conv over the whole batch."""
+def conv2d_one_pass(x, w, stride, padding, g):
+    """(out, gx, gw) of the shifted-GEMM conv over the whole batch."""
     n, c, h, wd = x.shape
     o, _, kh, kw = w.shape
     oh = (h + 2 * padding - kh) // stride + 1
@@ -529,8 +525,6 @@ def conv2d_one_pass(x, w, b, stride, padding, g):
         else:
             part = np.matmul(tap.reshape(-1, c), wt[ki, kj], out=part)
             out += part
-    if b is not None:
-        out += b
     out = np.ascontiguousarray(out.reshape(n, oh, ow, o).transpose(0, 3, 1, 2))
 
     gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
@@ -540,7 +534,6 @@ def conv2d_one_pass(x, w, b, stride, padding, g):
         np.copyto(tap, xp[:, rows, cols, :])
         np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
     gw = np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
-    gb = gout.sum(axis=0) if b is not None else None
     wk = np.ascontiguousarray(w.transpose(2, 3, 0, 1))  # (kh, kw, O, C)
     gxp = np.zeros(xp.shape, dtype=g.dtype)
     part = np.empty((n * oh * ow, c), dtype=g.dtype)
@@ -549,7 +542,7 @@ def conv2d_one_pass(x, w, b, stride, padding, g):
         gxp[:, rows, cols, :] += part.reshape(n, oh, ow, c)
     gx = np.ascontiguousarray(
         gxp[:, padding:padding + h, padding:padding + wd, :].transpose(0, 3, 1, 2))
-    return out, gx, gw, gb
+    return out, gx, gw
 
 
 def _round_half_away_copies(x):

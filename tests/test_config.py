@@ -1,6 +1,7 @@
 """Run-configuration parsing, validation, and round-trip tests."""
 
 import dataclasses
+import importlib.util
 import os
 
 import pytest
@@ -139,6 +140,22 @@ def test_archived_rehearsal_config_loads(monkeypatch):
     cfg = load_config(path)
     assert (cfg.arch, cfg.cos_every, cfg.subset_fraction) == ("resnet8", 10, 0.2)
     assert resolved_text(cfg) == text.replace("n_blocks = 3\n", "")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_desk_scale_epoch_overrides_load(n, monkeypatch):
+    """The desk-scale driver's --epochs and --arm-epochs overrides give a
+    valid schedule for short runs too, where both decay points would fall
+    on one epoch."""
+    spec = importlib.util.spec_from_file_location(
+        "run_desk_scale", os.path.join(ROOT, "demos", "run_desk_scale.py"))
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.delenv(DATA_DIR_ENV, raising=False)
+    sets = demo.epoch_sets(n)
+    cfg = load_config(os.path.join(ROOT, "configs", "bwrf_arm.cfg"), sets[1::2])
+    assert cfg.epochs == n
+    assert cfg.milestones == tuple(sorted({n // 2, n * 3 // 4}))
 
 
 @pytest.mark.parametrize("override, message", [

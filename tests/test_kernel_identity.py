@@ -38,39 +38,35 @@ CONV_GEOMETRIES = {
 TILE_BATCHES = (1, T.CONV_TILE - 1, T.CONV_TILE + 1, 2 * T.CONV_TILE + 3)
 
 
-def check_conv(n, c, o, k, s, p, extent, bias, seed, compare=assert_same_bytes):
+def check_conv(n, c, o, k, s, p, extent, seed, compare=assert_same_bytes):
     """k and extent are an int or a (rows, columns) pair."""
     (kh, kw), (h, wd) = np.broadcast_to(k, 2), np.broadcast_to(extent, 2)
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, c, h, wd)).astype(np.float32)
     w = (rng.standard_normal((o, c, kh, kw)) * 0.2).astype(np.float32)
-    b = rng.standard_normal(o).astype(np.float32) if bias else None
     oh, ow = (h + 2 * p - kh) // s + 1, (wd + 2 * p - kw) // s + 1
     g = rng.standard_normal((n, o, oh, ow)).astype(np.float32)
-    ref_out, ref_gx, ref_gw, ref_gb = oracles.conv2d_one_pass(x, w, b, s, p, g)
+    ref_out, ref_gx, ref_gw = oracles.conv2d_one_pass(x, w, s, p, g)
     xt, wt = Tensor(x, requires_grad=True), Tensor(w, requires_grad=True)
-    bt = Tensor(b, requires_grad=True) if bias else None
-    out = T.conv2d(xt, wt, bt, stride=s, padding=p)
+    out = T.conv2d(xt, wt, stride=s, padding=p)
     out.backward(g)
     compare(out.data, ref_out, "out")
     compare(xt.grad, first_arrival(xt, ref_gx), "gx")
     compare(wt.grad, first_arrival(wt, ref_gw), "gw")
-    if bias:
-        compare(bt.grad, first_arrival(bt, ref_gb), "gb")
 
     # frozen weight and untaped: the same tile-sized forward, same output
-    frozen = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), bt, stride=s, padding=p)
+    frozen = T.conv2d(Tensor(x, requires_grad=True), Tensor(w), stride=s, padding=p)
     compare(frozen.data, ref_out, "frozen-weight out")
     with T.no_grad():
-        compare(T.conv2d(xt, wt, bt, stride=s, padding=p).data, ref_out, "no_grad out")
+        compare(T.conv2d(xt, wt, stride=s, padding=p).data, ref_out, "no_grad out")
 
 
 @pytest.mark.parametrize("n", TILE_BATCHES)
 @pytest.mark.parametrize("geometry", CONV_GEOMETRIES)
 def test_conv2d_matches_the_one_pass_kernel(geometry, n):
     c, o, k, s, p = CONV_GEOMETRIES[geometry]
-    check_conv(n, c, o, k, s, p, extent=8, bias=False, seed=n)
-    check_conv(n, c, o, k, s, p, extent=8, bias=True, seed=n + 100)
+    check_conv(n, c, o, k, s, p, extent=8, seed=n)
+    check_conv(n, c, o, k, s, p, extent=8, seed=n + 100)
 
 
 # (in channels, out channels, kernel, stride, padding, extent): every resnet
@@ -90,7 +86,7 @@ STAGE_CONVS = {
 @pytest.mark.parametrize("geometry", STAGE_CONVS)
 def test_conv2d_matches_the_one_pass_kernel_at_stage_shapes(geometry):
     c, o, k, s, p, extent = STAGE_CONVS[geometry]
-    check_conv(2 * T.CONV_TILE + 3, c, o, k, s, p, extent, bias=False, seed=c)
+    check_conv(2 * T.CONV_TILE + 3, c, o, k, s, p, extent, seed=c)
 
 
 # GEMMs with few rows: numpy's matmul was seen to round a strided weight view
@@ -116,7 +112,7 @@ def assert_close(got, want, what):
 def test_conv2d_matches_the_one_pass_kernel_at_small_extents(geometry, extent, n):
     c, o, k, s, p = SMALL_CONVS[geometry]
     compare = assert_close if (geometry, extent, n) in GEMV_CASES else assert_same_bytes
-    check_conv(n, c, o, k, s, p, extent, bias=True, seed=extent + 10 * n, compare=compare)
+    check_conv(n, c, o, k, s, p, extent, seed=extent + 10 * n, compare=compare)
 
 
 # (in channels, out channels, kernel, stride, padding, extent): geometries
@@ -134,7 +130,7 @@ ODD_CONVS = {
 @pytest.mark.parametrize("geometry", ODD_CONVS)
 def test_conv2d_matches_the_one_pass_kernel_outside_the_network(geometry, n):
     c, o, k, s, p, extent = ODD_CONVS[geometry]
-    check_conv(n, c, o, k, s, p, extent, bias=True, seed=n)
+    check_conv(n, c, o, k, s, p, extent, seed=n)
 
 
 # -- quantizer -----------------------------------------------------------------------

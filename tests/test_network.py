@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bwrf import tensor as T
-from bwrf.network import BlockModel, BlockSpec, build_model, init_lp_from_fp
+from bwrf.network import BlockModel, BlockSpec, Conv2d, Linear, build_model, init_lp_from_fp
 from bwrf.quantizer import init_scale
 from bwrf.tensor import Tensor
 
@@ -30,6 +30,15 @@ def test_arch_names_map_to_units():
 def test_arch_rejects_invalid(bad):
     with pytest.raises(ValueError):
         BlockSpec.from_arch(bad)
+
+
+def test_layers_require_an_rng():
+    """A layer draws its initial weight from the rng it is given; left out,
+    construction fails at the call, not inside the draw."""
+    with pytest.raises(TypeError, match="rng"):
+        Conv2d(3, 4, 3)
+    with pytest.raises(TypeError, match="rng"):
+        Linear(4, 2)
 
 
 # -- quantizer placement ------------------------------------------------------------

@@ -266,12 +266,10 @@ def test_quantized_conv_matches_explicit_composition():
     x = Tensor(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
     conv = Conv2d(3, 4, 3, stride=1, padding=1, rng=rng)
     conv.weight = wt = Tensor(rng.standard_normal((4, 3, 3, 3)).astype(np.float32))
-    conv.bias = b = Tensor(rng.standard_normal(4).astype(np.float32))
     conv.wq = wq = make_q(bits=4, signed=True, scale=0.11)
     conv.aq = aq = make_q(bits=4, signed=False, scale=0.21)
     got = conv(x)
-    want = T.conv2d(quantize_forward(x, aq), quantize_forward(wt, wq), b,
-                    stride=1, padding=1)
+    want = T.conv2d(quantize_forward(x, aq), quantize_forward(wt, wq), stride=1, padding=1)
     np.testing.assert_array_equal(got.data, want.data)
 
 
@@ -290,11 +288,11 @@ def test_high_bit_quantizer_approaches_identity():
     x = Tensor(rng.standard_normal((3, 5)).astype(np.float32))
     layer = Linear(5, 4, rng=rng)
     layer.weight = wt = Tensor(rng.standard_normal((4, 5)).astype(np.float32))
-    layer.bias = None
+    layer.bias = b = Tensor(rng.standard_normal(4).astype(np.float32))
     layer.wq = make_q(bits=16, signed=True, scale=1e-4)
     layer.aq = make_q(bits=16, signed=True, scale=1e-4)
     got = layer(x)
-    want = T.linear(x, wt)
+    want = T.linear(x, wt, b)
     np.testing.assert_allclose(got.data, want.data, atol=1e-3)
 
 

@@ -39,7 +39,7 @@ def test_conv_ramp_strided_vs_bruteforce():
     x = np.arange(16, dtype=np.float32).reshape(1, 1, 4, 4)
     w = np.array([[1, 0], [0, -1]], np.float32).reshape(1, 1, 2, 2)
     out = T.conv2d(Tensor(x), Tensor(w), stride=2)
-    ref = oracles.conv2d_bruteforce(x, w, None, stride=2, padding=0)
+    ref = oracles.conv2d_bruteforce(x, w, stride=2, padding=0)
     np.testing.assert_array_equal(out.data, ref.astype(np.float32))
     np.testing.assert_array_equal(out.data.reshape(2, 2), np.full((2, 2), -5.0, np.float32))
 
@@ -59,9 +59,8 @@ def test_conv_random_vs_bruteforce(stride, padding, k, extent):
     rng = np.random.default_rng(7 * stride + padding)
     x = rng.standard_normal((2, 3, *extent)).astype(np.float32)
     w = rng.standard_normal((4, 3, k, k)).astype(np.float32)
-    b = rng.standard_normal(4).astype(np.float32)
-    out = T.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=stride, padding=padding)
-    ref = oracles.conv2d_bruteforce(x, w, b, stride, padding)
+    out = T.conv2d(Tensor(x), Tensor(w), stride=stride, padding=padding)
+    ref = oracles.conv2d_bruteforce(x, w, stride, padding)
     assert out.data.shape == ref.shape
     np.testing.assert_allclose(out.data, ref, rtol=1e-5, atol=1e-5)
 
@@ -138,12 +137,20 @@ def test_conv_shape_errors():
         T.conv2d(x, Tensor(np.zeros((2, 4, 3, 3), np.float32)))
     with pytest.raises(ValueError, match="stride"):
         T.conv2d(x, Tensor(np.zeros((2, 3, 3, 3), np.float32)), stride=0)
-    with pytest.raises(ValueError, match="bias"):
-        T.conv2d(x, Tensor(np.zeros((2, 3, 3, 3), np.float32)),
-                 Tensor(np.zeros(3, np.float32)))
     with pytest.raises(ValueError, match="NCHW"):
         T.conv2d(Tensor(np.zeros((3, 4, 4), np.float32)),
                  Tensor(np.zeros((2, 3, 3, 3), np.float32)))
+
+
+def test_conv_takes_no_bias_and_only_keyword_stride_and_padding():
+    """A call written for a conv with a bias, or with a positional stride,
+    fails instead of reading the third operand as the stride."""
+    x = Tensor(np.zeros((1, 3, 4, 4), np.float32))
+    w = Tensor(np.zeros((2, 3, 3, 3), np.float32))
+    with pytest.raises(TypeError):
+        T.conv2d(x, w, Tensor(np.zeros(2, np.float32)))
+    with pytest.raises(TypeError):
+        T.conv2d(x, w, 1, 1)
 
 
 # -- linear forward -----------------------------------------------------------
@@ -171,7 +178,16 @@ def test_linear_random_vs_triple_loop():
 
 def test_linear_dim_mismatch():
     with pytest.raises(ValueError, match="feature size"):
-        T.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((4, 5), np.float32)))
+        T.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((4, 5), np.float32)),
+                 Tensor(np.zeros(4, np.float32)))
+    with pytest.raises(ValueError, match="bias shape"):
+        T.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((4, 3), np.float32)),
+                 Tensor(np.zeros(3, np.float32)))
+
+
+def test_linear_requires_a_bias():
+    with pytest.raises(TypeError):
+        T.linear(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((4, 3), np.float32)))
 
 
 # -- batchnorm ----------------------------------------------------------------
