@@ -123,9 +123,10 @@ def kd_loss(student: Tensor, teacher: Tensor, temperature: float = 1.0) -> Tenso
     inv_t = 1.0 / temperature
     n = student.shape[0]
     ls = T.log_softmax(student * inv_t)
-    # Teacher probabilities go through the same log-softmax kernel on plain
-    # arrays, so identical logits produce an exactly-zero loss.
-    lt = T._log_softmax_forward(teacher.data * np.float32(inv_t))
+    # The teacher's log-probabilities come from the student's log_softmax on
+    # an off-tape leaf of the same scaled logits, so identical logits give an
+    # exactly-zero loss.
+    lt = T.log_softmax(Tensor(teacher.data * np.float32(inv_t))).data
     pt = np.exp(lt)
     const = float((pt * lt).sum(dtype=np.float32))
     cross = T.mul(ls, Tensor(pt)).sum()

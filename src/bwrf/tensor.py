@@ -3,7 +3,9 @@
 The operator set covers small residual CNNs: bias-free convolution (each
 conv feeds a batchnorm), linear with a bias (the classifier head), batch
 norm, ReLU, residual add, global average pooling, log-softmax, and the
-reductions needed for classification and distillation losses. Gradients
+reductions needed for classification and distillation losses. ``Tensor``
+arithmetic is scalar-only, the two forms the losses use: ``t * scalar`` and
+``scalar - t``; tensors combine through ``add`` and ``mul``. Gradients
 accumulate by summation when a node feeds several consumers, so a shared
 feature map receives the sum of the contributions from every branch that
 consumed it. ``backward``, the one runner of backward rules, walks from
@@ -52,14 +54,6 @@ eval-mode batchnorm with a frozen gamma, as in a graft suffix, rebuilds
 nothing. A first gradient arrival is written once as g + 0.0 into a
 fresh float32 array of the input's shape, which is zeros + g to the bit
 (-0 becomes +0).
-
-The two internal forward kernels, ``_batchnorm2d_forward`` and
-``_log_softmax_forward``, follow the dtype of their inputs; the public
-Tensor API stores float32. ``graft.kd_loss`` also reads
-``_log_softmax_forward``: the teacher's probabilities go through the
-student's kernel, so identical logits give an exactly-zero loss. The
-finite-difference oracles do not use them: they difference
-independently written float64 functions (tests/oracles.py).
 
 A helper thread, made by the first ``fork`` when the process may use a
 second CPU, runs the frozen teacher's forward beside the LP forward
@@ -184,37 +178,13 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, op={self.node._op}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return _scalar_affine(self, 1.0, float(other))
-
-    __radd__ = __add__
+    # -- arithmetic: scalar only, the two forms the losses use --------------
 
     def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
         return _scalar_affine(self, float(other), 0.0)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return _scalar_affine(self, -1.0, 0.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, -other)
-        return _scalar_affine(self, 1.0, -float(other))
 
     def __rsub__(self, other):
         return _scalar_affine(self, -1.0, float(other))
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not part of the op set; divide by a scalar")
-        return _scalar_affine(self, 1.0 / float(other), 0.0)
 
     def sum(self) -> "Tensor":
         out_data = np.asarray(self.data.sum(dtype=np.float32)).reshape(())
@@ -554,38 +524,6 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     return custom_op("linear", x.data @ weight.data.T + bias.data, (x, weight, bias), grad_fn)
 
 
-def _batchnorm2d_forward(x, gamma, beta, running_mean, running_var,
-                         training, momentum, eps):
-    """Returns (out, mean, inv_std). Mutates running stats in train mode.
-
-    The input is centred once: in train mode the variance is the mean of
-    the squares of that centred array, which are the steps ``np.var``
-    takes, and the centred array is then scaled into xhat in place.
-    """
-    axes = (0, 2, 3)
-    if training:
-        m = x.shape[0] * x.shape[2] * x.shape[3]
-        mean = x.mean(axis=axes)
-        xhat = x - mean[None, :, None, None]
-        out = np.square(xhat)
-        var = out.mean(axis=axes)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        unbiased = var * (m / (m - 1)) if m > 1 else var
-        running_var *= 1.0 - momentum
-        running_var += momentum * unbiased
-    else:
-        mean = running_mean.astype(x.dtype)
-        var = running_var.astype(x.dtype)
-        xhat = x - mean[None, :, None, None]
-        out = np.empty_like(xhat)
-    inv = 1.0 / np.sqrt(var + np.asarray(eps, dtype=x.dtype))
-    xhat *= inv[None, :, None, None]
-    np.multiply(gamma[None, :, None, None], xhat, out=out)
-    out += beta[None, :, None, None]
-    return out, mean, inv
-
-
 def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
                 running_mean: np.ndarray, running_var: np.ndarray,
                 training: bool, momentum: float = 0.1, eps: float = 1e-5) -> Tensor:
@@ -607,18 +545,39 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ValueError(f"batchnorm2d: affine shapes {gamma.shape}/{beta.shape} vs {c} channels")
 
-    out_data, mean, inv = _batchnorm2d_forward(
-        x.data, gamma.data, beta.data, running_mean, running_var, training, momentum, eps)
+    # The input is centred once: in train mode the variance is the mean of
+    # the squares of that centred array, the steps np.var takes, and the
+    # centred array is then scaled into xhat in place.
+    axes = (0, 2, 3)
+    m = x.shape[0] * x.shape[2] * x.shape[3]
+    if training:
+        mean = x.data.mean(axis=axes)
+        xhat = x.data - mean[None, :, None, None]
+        out_data = np.square(xhat)
+        var = out_data.mean(axis=axes)
+        running_mean *= 1.0 - momentum
+        running_mean += momentum * mean
+        unbiased = var * (m / (m - 1)) if m > 1 else var
+        running_var *= 1.0 - momentum
+        running_var += momentum * unbiased
+    else:
+        mean = running_mean.astype(np.float32)
+        var = running_var.astype(np.float32)
+        xhat = x.data - mean[None, :, None, None]
+        out_data = np.empty_like(xhat)
+    inv = 1.0 / np.sqrt(var + np.float32(eps))
+    xhat *= inv[None, :, None, None]
+    np.multiply(gamma.data[None, :, None, None], xhat, out=out_data)
+    out_data += beta.data[None, :, None, None]
     x_data = x.data if gamma.requires_grad or (training and x.requires_grad) else None
     gamma_data = gamma.data if x.requires_grad else None
     gamma_grad, beta_grad = gamma.requires_grad, beta.requires_grad
-    m = np.float32(x.shape[0] * x.shape[2] * x.shape[3])
+    m32 = np.float32(m)
 
     def grad_fn(g):
         # up to three activation-sized buffers: xhat, rebuilt with the
         # forward's two ops (the same bits), gx (dxhat, then the input
         # gradient) and prod (g * xhat, then dxhat * xhat)
-        axes = (0, 2, 3)
         gbeta = g.sum(axis=axes) if beta_grad else None
         ggamma = gx = prod = None
         if x_data is not None:
@@ -632,11 +591,11 @@ def batchnorm2d(x: Tensor, gamma: Tensor, beta: Tensor,
             if training:
                 prod = np.multiply(gx, xhat, out=prod)
                 s_dxhat, s_prod = gx.sum(axis=axes), prod.sum(axis=axes)
-                gx *= m
+                gx *= m32
                 gx -= s_dxhat[None, :, None, None]
                 xhat *= s_prod[None, :, None, None]
                 gx -= xhat
-                gx *= inv[None, :, None, None] / m
+                gx *= inv[None, :, None, None] / m32
             else:
                 gx *= inv[None, :, None, None]
         return gx, ggamma, gbeta
@@ -661,18 +620,13 @@ def global_avg_pool(x: Tensor) -> Tensor:
     return custom_op("global_avg_pool", x.data.mean(axis=(2, 3)), (x,), grad_fn)
 
 
-def _log_softmax_forward(x):
-    m = x.max(axis=1, keepdims=True)
-    shifted = x - m
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True)) + m
-    return x - lse
-
-
 def log_softmax(x: Tensor) -> Tensor:
     """Row-wise log softmax on an (N, C) tensor; logsumexp of each row is 0."""
     if x.ndim != 2:
         raise ValueError(f"log_softmax: input must be (N, C), got shape {x.shape}")
-    out_data = _log_softmax_forward(x.data)
+    m = x.data.max(axis=1, keepdims=True)
+    lse = np.log(np.exp(x.data - m).sum(axis=1, keepdims=True)) + m
+    out_data = x.data - lse
 
     def grad_fn(g):
         return (g - np.exp(out_data) * g.sum(axis=1, keepdims=True),)

@@ -249,22 +249,15 @@ def _case_conv2d(rng):
     )
 
 
-def _case_conv2d_nobias(rng):
-    arrays = (_draw(rng, (2, 2, 4, 4)), _draw(rng, (2, 2, 3, 3)))
-    return arrays, (
-        lambda x, w: T.conv2d(x, w, stride=1, padding=1),
-        lambda x, w: conv2d_f64(x, w, 1, 1),
-    )
-
-
 def _conv_geometry_case(k, stride, padding):
     """One of the network's fixed conv geometries.
 
-    Two input and three output channels, so a swapped channel axis in the
+    Two images, so the conv's batch tile holds more than one, and two
+    input and three output channels, so a swapped channel axis in the
     kernel's weight layout shows up as a shape or value mismatch.
     """
     def case(rng):
-        arrays = (_draw(rng, (1, 2, 4, 4)), _draw(rng, (3, 2, k, k)))
+        arrays = (_draw(rng, (2, 2, 4, 4)), _draw(rng, (3, 2, k, k)))
         return arrays, (
             lambda x, w: T.conv2d(x, w, stride=stride, padding=padding),
             lambda x, w: conv2d_f64(x, w, stride, padding),
@@ -374,7 +367,6 @@ def _case_chain(rng):
 
 FD_CASES = {
     "conv2d": _case_conv2d,
-    "conv2d_nobias": _case_conv2d_nobias,
     "conv2d_k3s1p1": _conv_geometry_case(3, 1, 1),
     "conv2d_k3s2p1": _conv_geometry_case(3, 2, 1),
     "conv2d_k1s2p0": _conv_geometry_case(1, 2, 0),

@@ -142,20 +142,54 @@ def test_archived_rehearsal_config_loads(monkeypatch):
     assert resolved_text(cfg) == text.replace("n_blocks = 3\n", "")
 
 
+def desk_scale_demo():
+    spec = importlib.util.spec_from_file_location(
+        "run_desk_scale", os.path.join(ROOT, "demos", "run_desk_scale.py"))
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    return demo
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_desk_scale_epoch_overrides_load(n, monkeypatch):
     """The desk-scale driver's --epochs and --arm-epochs overrides give a
     valid schedule for short runs too, where both decay points would fall
     on one epoch."""
-    spec = importlib.util.spec_from_file_location(
-        "run_desk_scale", os.path.join(ROOT, "demos", "run_desk_scale.py"))
-    demo = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(demo)
+    demo = desk_scale_demo()
     monkeypatch.delenv(DATA_DIR_ENV, raising=False)
     sets = demo.epoch_sets(n)
     cfg = load_config(os.path.join(ROOT, "configs", "bwrf_arm.cfg"), sets[1::2])
     assert cfg.epochs == n
     assert cfg.milestones == tuple(sorted({n // 2, n * 3 // 4}))
+
+
+def write_log(path, header, rows):
+    os.makedirs(os.path.dirname(path))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize("bwrf_wins, line", [
+    ([True], "wins on at least 1 of 1 seeds:   ok"),
+    ([False], "wins on at least 1 of 1 seeds:   NOT MET"),
+    ([True, True, False], "wins on at least 2 of 3 seeds:   ok"),
+    ([True, False, False], "wins on at least 2 of 3 seeds:   NOT MET"),
+    ([True, True, False, False, False], "wins on at least 3 of 5 seeds:   NOT MET"),
+    ([True, True, True, False, False], "wins on at least 3 of 5 seeds:   ok"),
+])
+def test_desk_scale_seed_wins_need_a_majority(bwrf_wins, line, tmp_path, capsys):
+    """The desk-scale verdict asks bwrf to beat the baseline on a majority
+    of the seeds run, whatever their number, read from train_log.csv files."""
+    write_log(str(tmp_path / "fp" / "train_log.csv"), ["epoch", "test_acc"], [[1, 90.0]])
+    for seed, win in enumerate(bwrf_wins):
+        write_log(str(tmp_path / f"baseline_seed{seed}" / "train_log.csv"),
+                  ["epoch", "acc_Q"], [[1, 80.0]])
+        write_log(str(tmp_path / f"bwrf_seed{seed}" / "train_log.csv"),
+                  ["epoch", "acc_Q", "acc_M1", "acc_F"],
+                  [[1, 81.0 if win else 79.0, 85.0, 90.0]])
+    desk_scale_demo().analyze(str(tmp_path), list(range(len(bwrf_wins))))
+    assert f"\n  {line}\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("override, message", [

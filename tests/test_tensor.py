@@ -275,6 +275,39 @@ def test_add_shape_mismatch():
         T.add(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((3, 2), np.float32)))
 
 
+ARITHMETIC_OFF_THE_OP_SET = {
+    "a + b": lambda a, b: a + b,
+    "a + 1.0": lambda a, b: a + 1.0,
+    "-a": lambda a, b: -a,
+    "a - b": lambda a, b: a - b,
+    "a / 2.0": lambda a, b: a / 2.0,
+    "2.0 * a": lambda a, b: 2.0 * a,
+    "a * b": lambda a, b: a * b,
+}
+
+
+@pytest.mark.parametrize("expr", sorted(ARITHMETIC_OFF_THE_OP_SET))
+def test_tensor_arithmetic_is_scalar_only(expr):
+    a = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    b = Tensor(np.ones((2, 2), np.float32), requires_grad=True)
+    with pytest.raises(TypeError):
+        ARITHMETIC_OFF_THE_OP_SET[expr](a, b)
+
+
+@pytest.mark.parametrize("expr, scale, shift", [
+    (lambda a: a * 0.5, 0.5, 0.0),
+    (lambda a: 1.0 - a, -1.0, 1.0),
+], ids=["a * 0.5", "1.0 - a"])
+def test_scalar_mul_and_rsub_keep_their_values_and_gradients(expr, scale, shift):
+    vals = np.array([[1.5, -2.0], [0.0, 3.25]], np.float32)
+    g = np.array([[0.25, 4.0], [-1.5, 2.0]], np.float32)
+    a = Tensor(vals, requires_grad=True)
+    out = expr(a)
+    np.testing.assert_array_equal(out.data, vals * np.float32(scale) + np.float32(shift))
+    T.mul(out, Tensor(g)).sum().backward()
+    np.testing.assert_array_equal(a.grad, g * np.float32(scale))
+
+
 def test_log_softmax_uniform_logits():
     out = T.log_softmax(Tensor(np.zeros((3, 5), np.float32)))
     np.testing.assert_allclose(out.data, np.full((3, 5), np.log(1 / 5)), rtol=1e-6)
