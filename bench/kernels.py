@@ -17,8 +17,8 @@ The `batchnorm2d` backward rebuilds the normalised input (two passes)
 before its gradients; the `relu` forward builds the bool mask its backward
 reads. The `quantize_conv` row is a taped 4-bit quantize feeding a 3x3
 conv whose weight trains: its forward includes the quantize's code, its
-backward the conv's rule, which rebuilds the float input from that code
-for the weight gradient, then the quantize's rule, which rebuilds its
+backward the conv's rule, whose weight gradient writes each tap from that
+code times the scale, then the quantize's rule, which rebuilds its
 in-range mask. Each case runs once as a warm-up, then REPS times; the
 table holds the median of each side.
 

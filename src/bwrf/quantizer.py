@@ -139,14 +139,16 @@ def quantize_forward(v: Tensor, q: Quantizer) -> Tensor:
     v_grad, qmin = v.requires_grad, q.qmin
 
     def grad_fn(g):
+        # one activation-sized buffer: g * term, then the input gradient
+        buf = np.multiply(g, term)
+        gs = buf.sum(dtype=np.float32)
+        if factor is not None:
+            gs = gs * factor
         gv = None
         if v_grad:
             inside = (term >= -0.5) & (term <= 0.5)
             inside &= (term != 0) | (code != qmin)
-            gv = g * inside
-        gs = (g * term).sum(dtype=np.float32)
-        if factor is not None:
-            gs = gs * factor
+            gv = np.multiply(g, inside, out=buf)
         return gv, np.full((1,), gs, dtype=np.float32)
 
     out = custom_op("quantize", out_data, (v, q.scale), grad_fn)

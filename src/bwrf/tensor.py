@@ -42,9 +42,9 @@ Tiling keeps each row's sum provided the BLAS computes a GEMM row the same
 way whatever the row count: OpenBLAS 0.3.31's SkylakeX kernels do for the
 network's shapes, not for N in {3, 8} with K >= 32, and numpy sends a
 one-row matmul to gemv, which rounds differently at K = 64. The forward
-keeps no copy of its input; the weight gradient rebuilds a compact input
-with the one multiply the quantize did, then pads its own copy, or reads
-each tap's window straight from the input when there is no padding.
+keeps no copy of its input; the weight gradient pads a compact input's
+one-byte code, not its float32 values, and writes each tap's window with
+the one multiply the quantize did.
 
 Batchnorm centres its input once, for the variance and for xhat, and
 keeps only its channel mean and inverse std: its backward rebuilds xhat
@@ -68,12 +68,13 @@ the walk. In the networks those nodes are the weight quantizers (and the
 stem's input quantizer): each gets one arrival and alone feeds its leaves,
 so the move reorders no sum, and the helper runs the same code on the same
 arrays. The helper must never enter ``no_grad``, whose flag is a module
-global.
+global. Both threads allocate from one malloc arena (``_helper``).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import functools
 import os
 import threading
@@ -99,8 +100,13 @@ def no_grad():
 @functools.cache
 def _helper():
     """The helper thread's executor, made on the first call; None when the
-    process may run on one CPU only."""
+    process may run on one CPU only. Making it first sets the C library's
+    ``M_ARENA_MAX`` to 1 (if it has ``mallopt``) for the whole process: on an
+    arena of its own, what the helper frees would stay out of the main thread's reach."""
     cpus = os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count())
+    if len(cpus) > 1 and os.name == "posix" and hasattr(libc := ctypes.CDLL(None), "mallopt"):
+        libc.mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        libc.mallopt(-8, 1)  # M_ARENA_MAX, 1
     return ThreadPoolExecutor(1, thread_name_prefix=HELPER) if len(cpus) > 1 else None
 
 
@@ -224,6 +230,8 @@ class Tensor:
             raise ValueError(f"backward requires a scalar loss or a grad, got shape {self.shape}")
         if grad is not None and grad.shape != self.shape:
             raise ValueError(f"backward: grad shape {grad.shape} differs from output shape {self.shape}")
+        if grad is not None and grad.dtype != np.float32:
+            raise ValueError(f"backward: grad dtype {grad.dtype} is not float32")
         order = _reverse_topo(self)
         late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
         order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
@@ -419,11 +427,11 @@ def _conv2d_tiles(src, taps, stride, out_hw, buf_hw, offset, step):
 
 def _conv2d_weight_grad(saved, g, kh, kw, stride, padding):
     """OIkk gradient of a conv's weight from its saved input, the NCHW array
-    or its compact ``(code, scale)`` form, rebuilt here to the forward's
-    bits: one ``gout.T @ window`` GEMM per tap in row-major order over all
-    N*OH*OW rows, each window copied channels-last from a padded copy of the
-    whole batch, or straight from the input when there is no padding."""
-    x = np.multiply(*saved, dtype=np.float32) if isinstance(saved, tuple) else saved
+    or its compact ``(code, scale)`` form: one ``gout.T @ window`` GEMM per
+    tap in row-major order over all N*OH*OW rows, each window copied into a
+    float32 buffer from the input (a code as ``code * scale``, the quantize's
+    own multiply, so +0 in the padding) padded channels-last, or unpadded."""
+    x, scale = saved if isinstance(saved, tuple) else (saved, None)
     n, c, h, wd = x.shape
     o, oh, ow = g.shape[1:]
     gout = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).reshape(n * oh * ow, o)
@@ -432,10 +440,14 @@ def _conv2d_weight_grad(saved, g, kh, kw, stride, padding):
         xp = np.zeros((n, h + 2 * padding, wd + 2 * padding, c), dtype=x.dtype)
         xp[:, padding:padding + h, padding:padding + wd, :] = nhwc
     gwt = np.empty((kh, kw, o, c), dtype=g.dtype)
-    tap = np.empty((n, oh, ow, c), dtype=xp.dtype)
+    tap = np.empty((n, oh, ow, c), dtype=np.float32)
     for ki in range(kh):
         for kj in range(kw):
-            np.copyto(tap, _window(xp, ki, kj, stride, oh, ow))
+            window = _window(xp, ki, kj, stride, oh, ow)
+            if scale is None:
+                np.copyto(tap, window)
+            else:
+                np.multiply(window, scale, out=tap, dtype=np.float32)
             np.matmul(gout.T, tap.reshape(-1, c), out=gwt[ki, kj])
     return np.ascontiguousarray(gwt.transpose(2, 3, 0, 1))
 

@@ -368,6 +368,12 @@ def test_backward_rejects_a_grad_of_another_shape():
         out.backward(np.ones((2, 3), np.float32))
 
 
+def test_backward_rejects_a_grad_that_is_not_float32():
+    out = T.relu(Tensor(np.zeros((2, 2), np.float32), requires_grad=True))
+    with pytest.raises(ValueError, match="grad dtype float64 is not float32"):
+        out.backward(np.ones((2, 2)))
+
+
 def test_split_consumers_match_combined_expression():
     # d/dx sum(3x) == d/dx [sum(x) + sum(2x)]
     rng = np.random.default_rng(9)
@@ -533,11 +539,12 @@ def test_a_frozen_eval_chain_keeps_only_the_relu_mask():
 
 
 # Peak of a grafted backward over its tape, in activations of the stem's
-# width (batch 32, 16 channels at 16^2): resnet8 reads 5.9 and resnet14
-# 6.7, the extra being resnet14's larger parameter gradients. Keeping every
-# intermediate gradient and a normalised copy per batchnorm read 33.7 and
-# 57.5, growing with depth.
-BACKWARD_PEAK_ACTIVATIONS = 8
+# width (batch 32, 16 channels at 16^2): resnet8 reads 5.66 and resnet14
+# 6.41, the extra being resnet14's larger parameter gradients. A weight
+# gradient that rebuilt and padded a float32 input read 6.90 and 7.65;
+# keeping every intermediate gradient and a normalised copy per batchnorm
+# read 33.7 and 57.5, growing with depth.
+BACKWARD_PEAK_ACTIVATIONS = 7
 
 
 @pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
@@ -553,6 +560,25 @@ def test_a_grafted_backward_peaks_under_a_fixed_count_of_activations(monkeypatch
         tracemalloc.stop()
     assert peak < BACKWARD_PEAK_ACTIVATIONS * activation, \
         f"{arch} backward peaked at {peak / activation:.1f} activations"
+
+
+def test_a_weight_gradient_from_a_code_peaks_under_two_and_a_half_activations():
+    """One weight gradient of a 3x3 conv at 16x32^2, batch 128, on a quantized
+    input's (code, scale): the padded code takes a byte per element, so the
+    peak is about the tap buffer, the channels-last g and the code, 2.29
+    float32 activations. Rebuilding and padding the float32 input read 4.13."""
+    rng = np.random.default_rng(3)
+    code = rng.integers(0, 16, (128, 16, 32, 32)).astype(np.uint8)
+    g = rng.standard_normal((128, 16, 32, 32)).astype(np.float32)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        gw = T._conv2d_weight_grad((code, np.float32(0.1)), g, 3, 3, 1, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert gw.shape == (16, 16, 3, 3)
+    assert peak < 2.5 * g.nbytes, f"the weight gradient peaked at {peak / g.nbytes:.2f} activations"
 
 
 @pytest.mark.parametrize("inline", [False, True], ids=["helper", "inline"])

@@ -7,7 +7,9 @@ Forcing the inline path monkeypatches ``tensor._helper`` to report no helper,
 which is what a one-CPU process gets.
 """
 
+import ctypes
 import os
+import subprocess
 import sys
 import threading
 import time
@@ -302,3 +304,45 @@ def test_the_lp_forward_records_its_tape_while_the_teacher_runs():
     assert seen["thread"].startswith(T.HELPER)
     assert g.y_q.requires_grad and not g.y_f.requires_grad
     assert all(y.requires_grad for y in g.y_m)
+
+
+# -- one malloc arena ----------------------------------------------------------------
+
+ARENA_PROBE = """
+import resource
+import numpy as np
+from bwrf import tensor as T
+
+PIECE, COUNT = 1 << 14, 1024  # 64 MiB in 64 KiB buffers, under glibc's mmap threshold
+
+def pinned():
+    buffers, small = [], []
+    for _ in range(COUNT):
+        buffers.append(np.ones(PIECE, np.float32))
+        small.append(np.ones(8))
+    return small
+
+small = T.fork(pinned)()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+again = [np.ones(PIECE, np.float32) for _ in range(COUNT)]
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)
+"""
+
+
+def test_the_main_thread_reuses_what_a_forked_job_freed():
+    """A forked job frees 64 MiB of buffers, each pinned by a small array
+    that stays alive; the main thread then allocates as much. On an arena of
+    its own, the helper's freed buffers would stay resident beside the main
+    thread's new ones, and the peak would grow by all of it."""
+    if T._helper() is None:
+        pytest.skip("one CPU: no helper thread")
+    if getattr(ctypes.CDLL(None), "mallopt", None) is None:
+        pytest.skip("the C library has no mallopt")
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run([sys.executable, "-c", ARENA_PROBE], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    grown_kib = int(proc.stdout)
+    assert grown_kib < 32 * 1024, f"peak RSS grew {grown_kib} KiB for a 64 MiB allocation"
