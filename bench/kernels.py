@@ -14,8 +14,8 @@ gradient, accumulation into the inputs included. Each conv also gets a `conv2d_i
 halves of its backward are timed apart. The stem's input takes a
 gradient too, as in the LP stem, whose input quantizer's scale needs one.
 The `batchnorm2d` backward rebuilds the normalised input (two passes)
-before its gradients; the `relu` forward builds the bool mask its backward
-reads. The `quantize_conv` row is a taped 4-bit quantize feeding a 3x3
+before its gradients; the `relu` forward packs its mask into bits, which
+its backward unpacks. The `quantize_conv` row is a taped 4-bit quantize feeding a 3x3
 conv whose weight trains: its forward includes the quantize's code, its
 backward the conv's rule, whose weight gradient writes each tap from that
 code times the scale, then the quantize's rule, which rebuilds its

@@ -284,10 +284,6 @@ class BlockModel:
         return [(f"{name}.{slot}", q) for name, layer in self._named_layers()
                 for slot, q in layer.quantizers()]
 
-    def set_quantizers_enabled(self, flag: bool):
-        for _, q in self.quantizers():
-            q.enabled = flag
-
     def state_dict(self):
         """Name -> float32 array for every persistent value, in a fixed order:
         every layer's trainable slots, then every batchnorm's running stats."""

@@ -22,10 +22,11 @@ forward time the arrays and flags it reads, and no input Tensor: a conv
 keeps its input only when its weight takes a gradient, as its compact
 form when the input node has one, and its weight only when its input
 does; a batchnorm keeps its input only when its backward rebuilds xhat; a
-relu keeps a bool mask; a quantize its output's code and its scale term.
-So an op output that no rule reads, such as a batchnorm output, a
-residual sum, a frozen graft suffix's conv output or a quantized conv
-input, is freed as soon as the forward code drops its Tensor.
+relu keeps its mask as packed bits, one per element; a quantize its
+output's code and its scale term. So an op output that no rule reads, such
+as a batchnorm output, a residual sum, a frozen graft suffix's conv output
+or a quantized conv input, is freed as soon as the forward code drops its
+Tensor.
 
 Reduction order is fixed: elementwise reductions use numpy's pairwise
 summation and matrix products go through the BLAS gemm numpy ships with,
@@ -361,13 +362,13 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def relu(t: Tensor) -> Tensor:
     # Subgradient at 0 is defined as 0 (strict > in the mask). out > 0 is
-    # t > 0 element for element, NaN included, and a bool takes a quarter
-    # of the float input's bytes.
+    # t > 0 element for element, NaN included, and its packed bits take a
+    # 32nd of the float input's bytes.
     out_data = np.maximum(t.data, 0)
-    mask = out_data > 0 if recording((t,)) else None
+    bits = np.packbits(out_data > 0) if recording((t,)) else None
 
     def grad_fn(g):
-        return (g * mask,)
+        return (g * np.unpackbits(bits, count=g.size).view(bool).reshape(g.shape),)
 
     return custom_op("relu", out_data, (t,), grad_fn)
 
@@ -459,10 +460,10 @@ def conv2d(x: Tensor, weight: Tensor, *, stride: int = 1, padding: int = 0) -> T
 
     The forward runs ``_conv2d_tiles`` over the padded input, the input
     gradient over g with stride - 1 zeros between its pixels, at stride 1.
-    The weight gradient is ``_conv2d_weight_grad`` on the input, rebuilt
-    from its node's compact form when it has one, forked to the helper
-    (rebuild included) when the input needs a gradient too and the weight
-    is not a leaf.
+    The weight gradient is ``_conv2d_weight_grad`` on the input, or on its
+    node's compact form when it has one (the one-byte code is padded, no
+    float32 input is rebuilt), forked to the helper when the input needs a
+    gradient too and the weight is not a leaf.
     Activations and weights stay NCHW / OIkk outside this function.
     """
     if x.ndim != 4:

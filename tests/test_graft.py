@@ -22,7 +22,8 @@ def make_pair(bits=4, seed=1, bypass=False):
     lp = build_model(SPEC, "lp", bits=bits, seed=seed + 100)
     init_lp_from_fp(lp, fp)
     if bypass:
-        lp.set_quantizers_enabled(False)
+        for _, q in lp.quantizers():
+            q.enabled = False
     return lp, fp
 
 

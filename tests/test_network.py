@@ -119,7 +119,8 @@ def test_init_then_bypass_matches_fp_forward():
     fp = build_model(SPEC, "fp", seed=1)
     lp = build_model(SPEC, "lp", bits=4, seed=2)
     init_lp_from_fp(lp, fp)
-    lp.set_quantizers_enabled(False)
+    for _, q in lp.quantizers():
+        q.enabled = False
     lp.eval()
     fp.eval()
     x = small_batch(seed=5)

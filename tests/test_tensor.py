@@ -270,6 +270,32 @@ def test_relu_values():
     np.testing.assert_array_equal(out.data, [0.0, 0.0, 2.0])
 
 
+@pytest.mark.parametrize("shape", [(1,), (7,), (9,), (3, 5), (2 * T.CONV_TILE + 1, 3, 5, 7)],
+                         ids=lambda shape: "x".join(map(str, shape)))
+def test_relu_gradient_has_the_bytes_of_the_bool_mask(monkeypatch, shape):
+    """A taped relu keeps its mask as packed bits, whose element count is not
+    a multiple of 8 here, so the last byte holds padding. Its rule gives the
+    bytes of g * (x > 0), NaN and signed zeros included, for NaN, +-inf and
+    +-0 inputs and a -0, NaN or +-inf upstream gradient."""
+    rng = np.random.default_rng(sum(shape))
+    special = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], np.float32)
+    xd = rng.standard_normal(shape).astype(np.float32)
+    gd = rng.standard_normal(shape).astype(np.float32)
+    xd.flat[:5] = special[:xd.size]
+    xd.flat[rng.random(xd.size) < 0.3] = rng.choice(special)
+    gd.flat[rng.random(gd.size) < 0.3] = -0.0
+    gd.flat[rng.random(gd.size) < 0.1] = rng.choice([np.nan, np.inf, -np.inf])
+    arrivals = []
+    first = T._first_arrival
+    monkeypatch.setattr(T, "_first_arrival", lambda node, g: arrivals.append(g.copy()) or first(node, g))
+    x = Tensor(xd, requires_grad=True)
+    with np.errstate(invalid="ignore"):  # inf * 0
+        T.relu(x).backward(gd)
+        want = gd * (xd > 0)
+    assert len(arrivals) == 1 and arrivals[0].tobytes() == want.tobytes()
+    assert x.grad.tobytes() == (want + np.float32(0)).tobytes()
+
+
 def test_add_shape_mismatch():
     with pytest.raises(ValueError, match="shapes"):
         T.add(Tensor(np.zeros((2, 3), np.float32)), Tensor(np.zeros((3, 2), np.float32)))
@@ -505,10 +531,11 @@ def test_a_grafted_tape_keeps_under_a_fixed_count_of_activations(monkeypatch, ar
     assert kept < FORWARD_KEPT_ACTIVATIONS, f"{arch} tape keeps {kept:.1f} activations"
 
 
-# The same count with every quantized conv input kept as its integer code:
-# resnet8 reads 16.0 and resnet14 27.1. Keeping them as float32 read 21.9
-# and 36.5.
-CODE_KEPT_ACTIVATIONS = {"resnet8": 19, "resnet14": 31}
+# The same count with every quantized conv input kept as its integer code
+# and every relu mask as packed bits: resnet8 reads 14.6 and resnet14 24.4.
+# One-byte bool masks read 16.0 and 27.1, and float32 conv inputs on top of
+# them 21.9 and 36.5.
+CODE_KEPT_ACTIVATIONS = {"resnet8": 15.5, "resnet14": 26}
 
 
 @pytest.mark.parametrize("arch", sorted(CODE_KEPT_ACTIVATIONS))
@@ -520,8 +547,9 @@ def test_a_grafted_tape_keeps_each_quantized_conv_input_as_its_code(monkeypatch,
 def test_a_frozen_eval_chain_keeps_only_the_relu_mask():
     """conv -> batchnorm -> relu as in a graft suffix: frozen weights, eval
     mode, an input that takes a gradient. The conv keeps its weight, the
-    batchnorm its channel stats and gamma, the relu a bool mask; no float
-    activation outlives the forward but the caller's output."""
+    batchnorm its channel stats and gamma, the relu its mask as packed
+    bits, one byte per 8 elements; no float activation outlives the forward
+    but the caller's output."""
     rng = np.random.default_rng(8)
     x = Tensor(rng.standard_normal((2 * T.CONV_TILE + 1, 3, 8, 8)), requires_grad=True)
     w = Tensor(rng.standard_normal((4, 3, 3, 3)))
@@ -531,11 +559,12 @@ def test_a_frozen_eval_chain_keeps_only_the_relu_mask():
     try:
         out = T.relu(T.batchnorm2d(T.conv2d(x, w, padding=1), gamma, beta, *stats,
                                    training=False))
-        live = live_numpy_blocks(out.size)
+        bits = -(-out.size // 8)
+        live = live_numpy_blocks(bits)
     finally:
         tracemalloc.stop()
     assert out.requires_grad
-    assert live == [out.size, out.data.nbytes], "the chain keeps a float activation"
+    assert live == [bits, out.data.nbytes], "the chain keeps a float activation"
 
 
 # Peak of a grafted backward over its tape, in activations of the stem's

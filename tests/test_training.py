@@ -231,7 +231,8 @@ def test_cosine_similarities_identical_models():
     fp = build_model(SPEC, "fp", seed=11).freeze()
     lp = build_model(SPEC, "lp", bits=4, seed=111)
     init_lp_from_fp(lp, fp)
-    lp.set_quantizers_enabled(False)
+    for _, q in lp.quantizers():
+        q.enabled = False
     out = cosine_similarities(lp, fp, random_split(16, seed=12), n_samples=16,
                               batch_size=8)
     assert set(out) == {"cos_b1", "cos_b2", "cos_b3", "cos_g1", "cos_g2"}
