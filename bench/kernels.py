@@ -9,7 +9,10 @@ at 16x32^2, 32x16^2 and 64x8^2, batch 128, plus the two 3x3 stride-2
 convs that open stages 2 and 3, the C = 3 stem conv and the two 1x1
 stride-2 downsample convs. Every op runs taped with trainable parameters, as in a training
 step; its backward is the node's own rule, called on a fixed upstream
-gradient, accumulation into the inputs included. Each conv also gets a `conv2d_input_grad` row
+gradient, accumulation into the inputs included, and freeing the arrays
+the rule kept, which the walk drops once the rule has run (they were
+freed at `del out`, outside the timed span, before the walk did that).
+Each conv also gets a `conv2d_input_grad` row
 (weight frozen) and a `conv2d_weight_grad` row (input frozen), so the two
 halves of its backward are timed apart. The stem's input takes a
 gradient too, as in the LP stem, whose input quantizer's scale needs one.

@@ -11,7 +11,10 @@ feature map receives the sum of the contributions from every branch that
 consumed it. ``backward``, the one runner of backward rules, walks from
 ones or a given upstream gradient and drops each node's gradient once its
 rule has run, so the tape holds intermediate gradients only while they are
-needed, and afterwards only leaves hold one.
+needed, and afterwards only leaves hold one. Unless called with
+``retain=True``, it drops the rule too, with the arrays it kept, so they
+are freed while later rules allocate gradients; a later walk over the
+freed tape raises.
 
 The tape is made of nodes, not arrays. A Tensor is its data and its
 ``Node``, which holds the gradient, requires_grad, the parent nodes, the
@@ -214,18 +217,24 @@ class Tensor:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, grad=None):
+    def backward(self, grad=None, *, retain=False):
         """Assign ``grad`` on every reachable leaf with ``requires_grad``.
 
         The walk, the one runner of backward rules, starts from ``grad``, this
-        output's upstream gradient as given, or from ones at a scalar loss.
-        Each operation record in the graph is visited exactly once, in
-        reverse topological order; multi-consumer nodes therefore receive
-        their full summed gradient before their own rule runs. The nodes
-        whose parents are all leaves come last, in their own order, and a
-        pending gradient is resolved on the visit. Only leaves keep a
-        gradient, so a second walk over the same tape, with the leaf
-        gradients reset, gives the same leaf gradients.
+        output's upstream gradient as given, or from ones at a scalar loss;
+        at a leaf, that seed is one more arrival, added to a copy. Each
+        operation record in the graph is visited exactly once, in reverse
+        topological order; multi-consumer nodes therefore receive their full
+        summed gradient before their own rule runs. The nodes whose parents
+        are all leaves come last, in their own order, and a pending gradient
+        is resolved on the visit. Only leaves keep a gradient.
+
+        Each rule is dropped once it has run, with the arrays it kept and
+        its node's compact form, so they are freed while later rules
+        allocate gradients; a later walk that reaches the node raises
+        RuntimeError. With ``retain=True`` the tape keeps its rules, and a
+        second walk over it, with the leaf gradients reset, gives the same
+        leaf gradients.
         """
         if grad is None and self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss or a grad, got shape {self.shape}")
@@ -236,11 +245,23 @@ class Tensor:
         order = _reverse_topo(self)
         late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
         order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
-        self.node.grad = np.ones_like(self.data) if grad is None else grad
+        seed = np.ones_like(self.data) if grad is None else grad
+        if self.node._grad_fn is None:
+            _accumulate(self.node, seed)  # the caller's array is never a leaf's grad
+        else:
+            self.node.grad = seed  # no rule writes into it
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
                 node._grad_fn(_first_arrival(node, g) if callable(g) else g)
+                if not retain:
+                    node._grad_fn, node.compact = _walked, None
+
+
+def _walked(g):
+    """The rule of a node whose own rule a walk has run and dropped."""
+    raise RuntimeError("backward: this tape was freed by an earlier walk; "
+                       "pass retain=True to that walk to walk the tape again")
 
 
 def _reverse_topo(root: Tensor):

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -232,6 +233,77 @@ def test_a_backward_with_an_upstream_gradient_resolves_a_pending_weight_gradient
             grads[inline, seeded] = [t.grad.tobytes() for t in (xt, wt, aq.scale, wq.scale)]
     assert all(run == grads[True, False] for run in grads.values())
     assert [name.startswith(T.HELPER) for name in threads] == [helper, helper, False, False]
+
+
+# -- the walk frees the tape ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["helper", "inline"])
+def test_a_second_walk_over_a_freed_tape_raises_and_names_retain(monkeypatch, inline):
+    grads, loss = lp_step(monkeypatch, inline)
+    walked = {name: g.tobytes() for name, g in grads.items()}
+    if inline:
+        force_inline(monkeypatch)
+    with pytest.raises(RuntimeError, match="retain=True"):
+        loss.backward()
+    assert {name: g.tobytes() for name, g in grads.items()} == walked
+
+
+def rule_arrays(t):
+    """The numpy arrays the backward rule behind t's node captured."""
+    grad_fn = next(c.cell_contents for c in t.node._grad_fn.__closure__
+                   if callable(c.cell_contents))
+    return [c.cell_contents for c in grad_fn.__closure__ if isinstance(c.cell_contents, np.ndarray)]
+
+
+def quantized_chain(rng):
+    """A quantized conv whose weight gradient is a pending join, a train-mode
+    batchnorm and a relu: the loss, and weak references to what the rules
+    keep, by name. No Tensor but the loss and the leaves outlives the call."""
+    aq, wq = Quantizer(4, signed=False), Quantizer(4, signed=True)
+    aq.set_scale(0.2)
+    wq.set_scale(0.1)
+    x = Tensor(rng.uniform(0, 2, (4, 3, 6, 6)).astype(np.float32), requires_grad=True)
+    w = Tensor((rng.standard_normal((5, 3, 3, 3)) * 0.3).astype(np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(5, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(5, np.float32), requires_grad=True)
+    xq, wqt = quantize_forward(x, aq), quantize_forward(w, wq)
+    h = T.conv2d(xq, wqt, padding=1)
+    b = T.batchnorm2d(h, gamma, beta, np.zeros(5, np.float32), np.ones(5, np.float32),
+                      training=True)
+    out = T.relu(b)
+    assert any(a is h.data for a in rule_arrays(b))
+    kept = {"batchnorm input": h.data, "relu bits": rule_arrays(out)[0]}
+    for name, q in (("input", xq), ("weight", wqt)):
+        kept[f"{name} code"] = q.node.compact[0]
+        kept[f"{name} term"] = next(a for a in rule_arrays(q) if a.dtype == np.float32)
+    loss = T.mul(out, Tensor(rng.standard_normal(out.shape).astype(np.float32))).sum()
+    return loss, {name: weakref.ref(a) for name, a in kept.items()}
+
+
+@pytest.mark.parametrize("inline", [False, True], ids=["helper", "inline"])
+def test_a_walk_frees_what_each_rule_kept_while_the_root_is_held(monkeypatch, inline):
+    """The batchnorm's input and the relu's bits are gone by the time the
+    conv's weight gradient runs; the quantizes' codes and terms by the end
+    of the walk, the loss still held."""
+    if inline:
+        force_inline(monkeypatch)
+    alive, orig = [], T._conv2d_weight_grad
+
+    def recorded(*args):
+        alive.append((threading.current_thread().name,
+                      sorted(name for name, ref in refs.items() if ref() is not None)))
+        return orig(*args)
+
+    monkeypatch.setattr(T, "_conv2d_weight_grad", recorded)
+    loss, refs = quantized_chain(np.random.default_rng(15))
+    assert all(ref() is not None for ref in refs.values())
+    loss.backward()
+    assert [name for name, ref in refs.items() if ref() is not None] == []
+    assert loss.requires_grad
+    (thread, names), = alive
+    assert thread.startswith(T.HELPER) == (T._helper() is not None)
+    assert "batchnorm input" not in names and "relu bits" not in names
 
 
 # -- failure and nesting ---------------------------------------------------------------
