@@ -11,10 +11,9 @@ feature map receives the sum of the contributions from every branch that
 consumed it. ``backward``, the one runner of backward rules, walks from
 ones or a given upstream gradient and drops each node's gradient once its
 rule has run, so the tape holds intermediate gradients only while they are
-needed, and afterwards only leaves hold one. Unless called with
-``retain=True``, it drops the rule too, with the arrays it kept, so they
-are freed while later rules allocate gradients; a later walk over the
-freed tape raises.
+needed, and afterwards only leaves hold one. It drops the rule too, with
+the arrays it kept, so they are freed while later rules allocate
+gradients; a later walk over the freed tape raises.
 
 The tape is made of nodes, not arrays. A Tensor is its data and its
 ``Node``, which holds the gradient, requires_grad, the parent nodes, the
@@ -217,7 +216,7 @@ class Tensor:
 
     # -- backward -----------------------------------------------------------
 
-    def backward(self, grad=None, *, retain=False):
+    def backward(self, grad=None):
         """Assign ``grad`` on every reachable leaf with ``requires_grad``.
 
         The walk, the one runner of backward rules, starts from ``grad``, this
@@ -232,9 +231,7 @@ class Tensor:
         Each rule is dropped once it has run, with the arrays it kept and
         its node's compact form, so they are freed while later rules
         allocate gradients; a later walk that reaches the node raises
-        RuntimeError. With ``retain=True`` the tape keeps its rules, and a
-        second walk over it, with the leaf gradients reset, gives the same
-        leaf gradients.
+        RuntimeError.
         """
         if grad is None and self.data.size != 1:
             raise ValueError(f"backward requires a scalar loss or a grad, got shape {self.shape}")
@@ -254,14 +251,13 @@ class Tensor:
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
                 node._grad_fn(_first_arrival(node, g) if callable(g) else g)
-                if not retain:
-                    node._grad_fn, node.compact = _walked, None
+                node._grad_fn, node.compact = _walked, None
 
 
 def _walked(g):
     """The rule of a node whose own rule a walk has run and dropped."""
     raise RuntimeError("backward: this tape was freed by an earlier walk; "
-                       "pass retain=True to that walk to walk the tape again")
+                       "run the forward again to walk it again")
 
 
 def _reverse_topo(root: Tensor):

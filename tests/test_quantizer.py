@@ -10,6 +10,7 @@ from bwrf import tensor as T
 from bwrf.network import Conv2d, Linear
 from bwrf.quantizer import Quantizer, init_scale, quantize_forward
 from bwrf.tensor import Tensor
+from rules import rule, rule_arrays
 
 
 def make_q(bits=3, signed=True, grad_scale=False, scale=1.0):
@@ -299,17 +300,6 @@ def test_high_bit_quantizer_approaches_identity():
 # -- saved state ---------------------------------------------------------------------
 
 
-def rule(out):
-    """The backward rule behind a custom_op node, returning its raw gradients."""
-    return next(c.cell_contents for c in out.node._grad_fn.__closure__ if callable(c.cell_contents))
-
-
-def backward_arrays(node):
-    """The numpy arrays the backward rule behind a custom_op node holds."""
-    return [c.cell_contents for c in rule(node).__closure__
-            if isinstance(c.cell_contents, np.ndarray)]
-
-
 def retained_bytes(fn):
     """(result, bytes still allocated once fn has returned) under tracemalloc."""
     import gc
@@ -333,7 +323,7 @@ def test_taped_quantize_keeps_only_a_code_and_a_term_array():
     v = Tensor(np.random.default_rng(0).uniform(-1, 3, (8, 4, 32, 32)).astype(np.float32),
                requires_grad=True)
     out, kept = retained_bytes(lambda: quantize_forward(v, q))
-    saved = backward_arrays(out)
+    saved = rule_arrays(out)
     assert sorted((a.dtype.name, a.shape) for a in saved) == [
         ("float32", v.shape), ("uint8", v.shape)]
     code, s32 = out.node.compact

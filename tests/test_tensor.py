@@ -16,6 +16,7 @@ from bwrf.config import RunConfig
 from bwrf.graft import bwrf_forward, total_loss
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.tensor import Tensor
+from rules import wrapped_rules
 
 
 # -- conv2d forward -----------------------------------------------------------
@@ -510,9 +511,7 @@ def test_no_backward_rule_of_a_grafted_step_holds_a_tensor(monkeypatch):
     nodes = [n for n in T._reverse_topo(loss) if n._grad_fn is not None]
     assert len(nodes) > 100
     for node in nodes:
-        rules = [node._grad_fn] + [c.cell_contents for c in node._grad_fn.__closure__
-                                   if callable(c.cell_contents)]
-        for rule in rules:
+        for rule in [node._grad_fn] + wrapped_rules(node):
             assert not held_tensors(rule), f"the rule of {node!r} holds a Tensor"
 
 
@@ -605,10 +604,20 @@ def test_a_grafted_backward_peaks_under_a_fixed_count_of_activations(monkeypatch
         f"{arch} backward peaked at {peak / activation:.1f} activations"
 
 
-def step_memory(monkeypatch, arch):
-    """The forward's peak, the walk's peak and the bytes still allocated
-    after the walk with the loss held, in stem activations, all counted from
-    before the grafted forward."""
+# Bytes still allocated after a grafted walk with the loss held, counted
+# from before its forward, in stem activations: the parameter gradients and
+# the tape's nodes. A walk that kept every rule kept the tape too, 15.19
+# (resnet8) and 25.78 (resnet14); dropping each rule once it has run leaves
+# 0.67 and 1.43.
+WALK_KEPT_ACTIVATIONS = 2
+
+
+@pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
+def test_a_grafted_walk_peaks_under_its_forward_and_frees_its_tape(monkeypatch, arch):
+    """Counted from before the grafted forward, in stem activations. The
+    forward peaks at 18.27 (resnet8) and 28.47 (resnet14). A walk that kept
+    every rule's arrays until it returned peaked above it, at 20.25 and
+    30.86; dropping each rule once it has run peaks at 15.97 and 25.82."""
     monkeypatch.setattr(T, "_helper", lambda: None)  # every gradient inline, on one thread
     _, grafted = grafted_setup(arch, 32, 16)
     activation = 32 * 16 * 16 * 16 * 4
@@ -624,32 +633,10 @@ def step_memory(monkeypatch, arch):
     finally:
         tracemalloc.stop()
     assert loss.requires_grad
-    return forward_peak / activation, walk_peak / activation, kept / activation
-
-
-@pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
-def test_a_grafted_walk_peaks_under_its_forward(monkeypatch, arch):
-    """The forward peaks at 18.27 (resnet8) and 28.47 (resnet14) stem
-    activations. A walk that kept every rule's arrays until it returned
-    peaked above it, at 20.25 and 30.86; dropping each rule once it has run
-    peaks at 15.97 and 25.82."""
-    forward_peak, walk_peak, _ = step_memory(monkeypatch, arch)
-    assert walk_peak < forward_peak, \
-        f"{arch} walk peaked at {walk_peak:.2f} activations, its forward at {forward_peak:.2f}"
-
-
-# Bytes still allocated after a grafted walk with the loss held, counted
-# from before its forward, in stem activations: the parameter gradients and
-# the tape's nodes. A walk that kept every rule kept the tape too, 15.19
-# (resnet8) and 25.78 (resnet14); dropping each rule once it has run leaves
-# 0.67 and 1.43.
-WALK_KEPT_ACTIVATIONS = 2
-
-
-@pytest.mark.parametrize("arch", ["resnet8", "resnet14"])
-def test_a_grafted_walk_frees_its_tape_while_the_loss_is_held(monkeypatch, arch):
-    _, _, kept = step_memory(monkeypatch, arch)
-    assert kept < WALK_KEPT_ACTIVATIONS, f"{arch} keeps {kept:.2f} activations after its walk"
+    assert walk_peak < forward_peak, (f"{arch} walk peaked at {walk_peak / activation:.2f} "
+                                      f"activations, its forward at {forward_peak / activation:.2f}")
+    assert kept < WALK_KEPT_ACTIVATIONS * activation, \
+        f"{arch} keeps {kept / activation:.2f} activations after its walk"
 
 
 def test_a_weight_gradient_from_a_code_peaks_under_two_and_a_half_activations():
@@ -672,16 +659,14 @@ def test_a_weight_gradient_from_a_code_peaks_under_two_and_a_half_activations():
 
 
 @pytest.mark.parametrize("inline", [False, True], ids=["helper", "inline"])
-def test_a_second_backward_on_the_same_tape_gives_the_same_leaf_gradients(monkeypatch, inline):
+def test_walks_over_two_identical_tapes_give_the_same_leaf_gradients(monkeypatch, inline):
     if inline:
         monkeypatch.setattr(T, "_helper", lambda: None)
-    loss, lp = grafted_loss("resnet8", 5, 8)
     walks = []
     for _ in range(2):
-        for _, p, _ in lp.param_groups():
-            p.grad = None
-        loss.backward(retain=not walks)
+        loss, lp = grafted_loss("resnet8", 5, 8)
+        loss.backward()
         walks.append({name: p.grad.tobytes() for name, p, _ in lp.param_groups()})
     assert walks[0].keys() == walks[1].keys()
     for name in walks[0]:
-        assert walks[0][name] == walks[1][name], f"{name} differs on the second walk"
+        assert walks[0][name] == walks[1][name], f"{name} differs on the second tape"
