@@ -12,6 +12,9 @@ step; its backward is the node's own rule, called on a fixed upstream
 gradient, accumulation into the inputs included, and freeing the arrays
 the rule kept, which the walk drops once the rule has run (they were
 freed at `del out`, outside the timed span, before the walk did that).
+Each backward row also includes the copy of that gradient `backward(g)`
+makes, and writes each first arrival in place, into the array the rule
+returned.
 Each conv also gets a `conv2d_input_grad` row
 (weight frozen) and a `conv2d_weight_grad` row (input frozen), so the two
 halves of its backward are timed apart. The stem's input takes a

@@ -21,6 +21,7 @@ previous file.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -120,7 +121,7 @@ def load_checkpoint(path: str):
         name = r.take(r.u32("name length"), f"tensor {i} name").decode("utf-8")
         rank = r.u32(f"{name} rank")
         shape = struct.unpack(f"<{rank}I", r.take(4 * rank, f"{name} shape"))
-        payload = r.take(4 * int(np.prod(shape, dtype=np.int64)), f"{name} data")
+        payload = r.take(4 * math.prod(shape), f"{name} data")  # a Python int: no wrap
         tensors[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     if r.pos != len(body):
         raise CheckpointError(f"{path}: {len(body) - r.pos} trailing bytes after tensors")

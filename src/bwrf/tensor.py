@@ -9,15 +9,16 @@ arithmetic is scalar-only, the two forms the losses use: ``t * scalar`` and
 accumulate by summation when a node feeds several consumers, so a shared
 feature map receives the sum of the contributions from every branch that
 consumed it. ``backward``, the one runner of backward rules, walks from
-ones or a given upstream gradient and drops each node's gradient once its
-rule has run, so the tape holds intermediate gradients only while they are
+ones or a copy of a given upstream gradient, hands the arrays each rule
+returns to its input nodes and drops each node's gradient once its rule
+has run, so the tape holds intermediate gradients only while they are
 needed, and afterwards only leaves hold one. It drops the rule too, with
 the arrays it kept, so they are freed while later rules allocate
 gradients; a later walk over the freed tape raises.
 
 The tape is made of nodes, not arrays. A Tensor is its data and its
 ``Node``, which holds the gradient, requires_grad, the parent nodes, the
-backward rule, the op name and the shape, and may hold a compact form of
+op's own backward rule and the op name, and may hold a compact form of
 the data: an integer code and a float32 scale whose product is the data
 to the bit, arrays the op's own rule keeps anyway. Each rule captures at
 forward time the arrays and flags it reads, and no input Tensor: a conv
@@ -54,9 +55,9 @@ keeps only its channel mean and inverse std: its backward rebuilds xhat
 from its input with the forward's own two ops, so the bits match, and
 only when gamma trains or the batch statistics take a gradient. An
 eval-mode batchnorm with a frozen gamma, as in a graft suffix, rebuilds
-nothing. A first gradient arrival is written once as g + 0.0 into a
-fresh float32 array of the input's shape, which is zeros + g to the bit
-(-0 becomes +0).
+nothing. Every array a rule returns is the receiving node's to keep: a
+first gradient arrival is written in place as g + 0.0, which is zeros + g
+to the bit (-0 becomes +0), and later arrivals are added into it.
 
 A helper thread, made by the first ``fork`` when the process may use a
 second CPU, runs the frozen teacher's forward beside the LP forward
@@ -127,25 +128,24 @@ def fork(fn, *args):
 
 class Node:
     """A tensor's place on the tape: its gradient, whether it takes one, the
-    parent nodes, the backward rule, the op name and the shape. It holds no
-    float array of values, so an op output no rule reads is freed with its
-    Tensor. ``compact`` is None or ``(code, scale)``, an integer array and a
-    float32 scalar whose product is the output's data to the bit, which the
-    op's own rule keeps anyway (a taped quantize sets it)."""
+    parent nodes, the op's backward rule and the op name. It holds no float
+    array of values, so an op output no rule reads is freed with its Tensor.
+    ``compact`` is None or ``(code, scale)``, an integer array and a float32
+    scalar whose product is the output's data to the bit, which the op's own
+    rule keeps anyway (a taped quantize sets it)."""
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_grad_fn", "_op", "shape", "compact")
+    __slots__ = ("grad", "requires_grad", "_parents", "_grad_fn", "_op", "compact")
 
-    def __init__(self, shape, requires_grad: bool):
+    def __init__(self, requires_grad: bool):
         self.grad = None
         self.requires_grad = requires_grad
         self._parents = ()
         self._grad_fn = None
         self._op = "leaf"
-        self.shape = shape
         self.compact = None
 
     def __repr__(self):
-        return f"Node(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
+        return f"Node(op={self._op}, requires_grad={self.requires_grad})"
 
 
 def _node_field(name):
@@ -160,7 +160,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.ascontiguousarray(np.asarray(data, dtype=np.float32))
-        self.node = Node(self.data.shape, bool(requires_grad))
+        self.node = Node(bool(requires_grad))
 
     grad = _node_field("grad")
     requires_grad = _node_field("requires_grad")
@@ -219,14 +219,14 @@ class Tensor:
     def backward(self, grad=None):
         """Assign ``grad`` on every reachable leaf with ``requires_grad``.
 
-        The walk, the one runner of backward rules, starts from ``grad``, this
-        output's upstream gradient as given, or from ones at a scalar loss;
-        at a leaf, that seed is one more arrival, added to a copy. Each
-        operation record in the graph is visited exactly once, in reverse
-        topological order; multi-consumer nodes therefore receive their full
-        summed gradient before their own rule runs. The nodes whose parents
-        are all leaves come last, in their own order, and a pending gradient
-        is resolved on the visit. Only leaves keep a gradient.
+        The walk, the one runner of backward rules, starts from a copy of
+        ``grad``, this output's upstream gradient, or from ones at a scalar
+        loss; at a leaf, that seed is one more arrival. Each operation record
+        in the graph is visited exactly once, in reverse topological order;
+        multi-consumer nodes therefore receive their full summed gradient
+        before their own rule runs. The nodes whose parents are all leaves
+        come last, in their own order, and a pending gradient is resolved on
+        the visit. Only leaves keep a gradient.
 
         Each rule is dropped once it has run, with the arrays it kept and
         its node's compact form, so they are freed while later rules
@@ -242,16 +242,19 @@ class Tensor:
         order = _reverse_topo(self)
         late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
         order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
-        seed = np.ones_like(self.data) if grad is None else grad
+        seed = np.ones_like(self.data) if grad is None else grad.copy()
         if self.node._grad_fn is None:
-            _accumulate(self.node, seed)  # the caller's array is never a leaf's grad
+            _accumulate(self.node, seed)
         else:
-            self.node.grad = seed  # no rule writes into it
+            self.node.grad = seed
         for node in order:
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
-                node._grad_fn(_first_arrival(node, g) if callable(g) else g)
+                grads = node._grad_fn(_first_arrival(g) if callable(g) else g)
                 node._grad_fn, node.compact = _walked, None
+                for parent, g in zip(node._parents, grads):
+                    _accumulate(parent, g)
+                del g, grads  # the next rule runs without what this one returned
 
 
 def _walked(g):
@@ -282,22 +285,23 @@ def _reverse_topo(root: Tensor):
     return order
 
 
-def _first_arrival(node: Node, g):
-    """One write of zeros + g into a fresh float32 array of the node's shape:
-    g may be shared with another input, and + 0.0 maps -0 to +0 as the zero
-    start would. A pending g (a join) is waited for first."""
-    return np.add(g() if callable(g) else g, 0.0, out=np.empty(node.shape, np.float32))
+def _first_arrival(g):
+    """g + 0.0 written into g, which its rule gave away: zeros + g to the
+    bit, as + 0.0 maps -0 to +0. A pending g (a join) is waited for first."""
+    g = g() if callable(g) else g
+    return np.add(g, 0.0, out=g)
 
 
 def _accumulate(node: Node, g):
-    """Add one gradient arrival to a node. A pending first arrival stays
-    pending on a node with a backward rule, until the walk visits it."""
-    if node.requires_grad:
+    """Add one gradient arrival, None for none, to a node. A pending first
+    arrival stays pending on a node with a backward rule, until the walk
+    visits it."""
+    if g is not None and node.requires_grad:
         if node.grad is None:
-            node.grad = g if callable(g) and node._grad_fn is not None else _first_arrival(node, g)
+            node.grad = g if callable(g) and node._grad_fn is not None else _first_arrival(g)
         else:
             if callable(node.grad):
-                node.grad = _first_arrival(node, node.grad)
+                node.grad = _first_arrival(node.grad)
             node.grad += g() if callable(g) else g
 
 
@@ -310,8 +314,10 @@ def recording(inputs) -> bool:
 def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     """Wire an externally computed array into the graph.
 
-    ``grad_fn(upstream)`` must return one gradient array per input (or None
-    for inputs that get nothing). This is the hook the quantizer uses to
+    ``grad_fn(upstream)``, the node's own rule, returns per input a float32
+    array of its shape, or None, and gives it away: the input's node writes
+    into it. So no rule returns one array twice or one it captured; ``add``
+    returns ``upstream`` and a copy. This is the hook the quantizer uses to
     install its straight-through rule; all built-in ops route through it
     too. Under ``no_grad`` the output is a plain leaf.
 
@@ -327,15 +333,8 @@ def custom_op(op: str, out_data, inputs, grad_fn) -> Tensor:
     """
     out = Tensor(out_data, requires_grad=recording(inputs))
     if out.requires_grad:
-        parents = tuple(t.node for t in inputs)
-
-        def _backward(g):
-            for node, gi in zip(parents, grad_fn(g)):
-                if gi is not None:
-                    _accumulate(node, gi)
-
-        out.node._parents = parents
-        out.node._grad_fn = _backward
+        out.node._parents = tuple(t.node for t in inputs)
+        out.node._grad_fn = grad_fn
         out.node._op = op
     return out
 
@@ -357,7 +356,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"add: shapes {a.data.shape} and {b.data.shape} differ")
 
     def grad_fn(g):
-        return g, g
+        return g, g.copy()  # each parent owns its array
 
     return custom_op("add", a.data + b.data, (a, b), grad_fn)
 

@@ -110,12 +110,6 @@ def kd_loss_f64(student, teacher, temp):
     return temp * temp * kl_rows.mean()
 
 
-def cosine_f64(a, b):
-    a = np.asarray(a, dtype=np.float64).reshape(-1)
-    b = np.asarray(b, dtype=np.float64).reshape(-1)
-    return float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b)))
-
-
 # -- quantizer oracles --------------------------------------------------------
 
 

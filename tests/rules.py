@@ -1,21 +1,15 @@
-"""The backward rules on the tape, unwrapped for the tests that look inside them.
+"""The backward rules on the tape, for the tests that look inside them.
 
-``custom_op`` sets each node's ``_grad_fn`` to a closure that accumulates
-the gradients of the op's own rule into the parent nodes; the op's rule is
-the one callable that closure captures.
+``custom_op`` keeps the op's own rule as its node's ``_grad_fn``; the walk
+hands the arrays it returns to the parent nodes.
 """
 
 import numpy as np
 
 
-def wrapped_rules(node):
-    """The callables node's ``_grad_fn`` captures: for a custom_op node, the op's own rule."""
-    return [c.cell_contents for c in node._grad_fn.__closure__ if callable(c.cell_contents)]
-
-
 def rule(t):
     """The op's own backward rule behind a custom_op Tensor, returning its raw gradients."""
-    return wrapped_rules(t.node)[0]
+    return t.node._grad_fn
 
 
 def rule_arrays(t):

@@ -2,6 +2,8 @@
 
 import errno
 import os
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -107,6 +109,43 @@ def test_truncated_file(tmp_path):
     save_checkpoint(str(path), "resnet8", 0, {"w": np.ones(4, np.float32)})
     path.write_bytes(path.read_bytes()[:10])
     with pytest.raises(CheckpointError):
+        load_checkpoint(str(path))
+
+
+def crafted(path, body: bytes):
+    """A checkpoint file of magic, body and the body's valid crc."""
+    path.write_bytes(checkpoint.MAGIC + body + struct.pack("<I", zlib.crc32(body)))
+    return str(path)
+
+
+def header(version=1, arch=b"resnet8", count=1) -> bytes:
+    return struct.pack("<II", version, len(arch)) + arch + struct.pack("<iI", 0, count)
+
+
+def tensor_record(name: bytes, shape, payload=b"") -> bytes:
+    return (struct.pack("<I", len(name)) + name + struct.pack("<I", len(shape))
+            + struct.pack(f"<{len(shape)}I", *shape) + payload)
+
+
+OVERFLOWING = header() + tensor_record(b"w", (1 << 21,) * 3)  # 2^63 elements
+
+
+@pytest.mark.parametrize("body, message", [
+    (OVERFLOWING, "truncated reading w data"),
+    (header()[:-2], "truncated reading tensor count"),
+    (header(version=2), "unsupported version 2"),
+    (header() + tensor_record(b"w", (2,), np.ones(2, "<f4").tobytes()) + b"\0\0",
+     "2 trailing bytes after tensors"),
+], ids=["overflowing-extents", "truncated-body", "version", "trailing-bytes"])
+def test_a_file_with_a_valid_crc_and_a_bad_body_is_rejected(tmp_path, body, message):
+    with pytest.raises(CheckpointError, match=message):
+        load_checkpoint(crafted(tmp_path / "m.ckpt", body))
+
+
+def test_a_file_under_eight_bytes_is_rejected(tmp_path):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(checkpoint.MAGIC + b"\1\0\0")
+    with pytest.raises(CheckpointError, match="truncated before the checksum"):
         load_checkpoint(str(path))
 
 

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 
 from bwrf.checkpoint import load_checkpoint
-from bwrf.cli import entry
+from bwrf.cli import entry, load_splits
+from bwrf.config import load_config
+from bwrf.data import load_idx_dir, subset
 from bwrf.synthetic import synthetic_arrays, write_synthetic_cifar, write_synthetic_idx
+from test_checkpoint import OVERFLOWING, crafted
 
 
 @pytest.fixture(scope="module")
@@ -122,19 +125,22 @@ def test_train_bwrf_outputs_and_checkpoint(fp_run, tmp_path, capsys):
     assert "acc_Q" in capsys.readouterr().out
 
 
-def test_baseline_equals_bwrf_with_toggles_off(fp_run, tmp_path):
+def test_a_subset_fraction_cuts_both_splits_by_its_seed(fp_run, idx_dir, capsys):
+    """Every class of the corpus has at least three images in each split,
+    so a half keeps one of each."""
     cfg_path, _, ckpt = fp_run
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    common = ["--config", cfg_path, "--set", f"fp_checkpoint={ckpt}",
-              "--set", "bits=4", "--set", "epochs=2"]
-    assert entry(["train-baseline", *common, "--set", f"output_dir={out_a}"]) == 0
-    assert entry(["train-bwrf", *common, "--set", f"output_dir={out_b}",
-                  "--set", "use_mp_targets=false", "--set", "use_fp_kd=false",
-                  "--set", "use_mp_kd=false", "--set", "use_avg_labels=false"]) == 0
-    log_a = (out_a / "train_log.csv").read_bytes()
-    log_b = (out_b / "train_log.csv").read_bytes()
-    assert log_a == log_b
-    assert (out_a / "lp.ckpt").read_bytes() == (out_b / "lp.ckpt").read_bytes()
+    cut = ["subset_fraction=0.5", "subset_seed=9"]
+    cfg = load_config(cfg_path, cut)
+    full = load_idx_dir(idx_dir, cfg.normalize_mean, cfg.normalize_std)
+    train, test = load_splits(cfg)
+    for got, split in zip((train, test), full):
+        want = subset(split, 0.5, 9)
+        assert len(want) < len(split)
+        assert np.array_equal(got.images, want.images) and np.array_equal(got.labels, want.labels)
+    capsys.readouterr()
+    assert entry(["eval", "--config", cfg_path, "--set", f"checkpoint={ckpt}",
+                  "--set", "branch=F", "--set", cut[0], "--set", cut[1]]) == 0
+    assert capsys.readouterr().out.strip().endswith(f" n={len(test)}")
 
 
 def test_eval_graft_branch(fp_run, tmp_path, capsys, monkeypatch):
@@ -217,7 +223,7 @@ def test_resolved_config_archives_applied_overrides(fp_run, tmp_path):
     assert "bits = 4" in text
 
 
-def test_exit_code_2_on_config_errors(tmp_path, capsys):
+def test_exit_code_2_on_config_errors(tmp_path, idx_dir, capsys):
     missing = str(tmp_path / "none.cfg")
     assert entry(["train-fp", "--config", missing]) == 2
     bad = tmp_path / "bad.cfg"
@@ -232,6 +238,16 @@ def test_exit_code_2_on_config_errors(tmp_path, capsys):
     legacy.write_text("arch = resnet8\nn_blocks = 4\nepochs = 1\nmilestones =\n")
     assert entry(["train-fp", "--config", str(legacy)]) == 2
     assert "n_blocks = 4 but resnet8 has 3 blocks" in capsys.readouterr().err
+    data = ["--set", "data_format=idx", "--set", f"data_dir={idx_dir}"]
+    ckpt = tmp_path / "lp.ckpt"
+    for argv, message in (
+            (["eval", *data], "eval needs checkpoint"),
+            (["eval", *data, "--set", f"checkpoint={ckpt}", "--set", "branch=M1"],
+             "branch M1 needs fp_checkpoint"),
+            (["analyze-similarity", *data, "--set", f"checkpoint={ckpt}"],
+             "analyze-similarity needs both checkpoint and fp_checkpoint")):
+        assert entry([argv[0], "--config", str(ok), *argv[1:]]) == 2, message
+        assert message in capsys.readouterr().err
 
 
 def test_exit_code_3_on_data_errors(tmp_path, capsys):
@@ -303,6 +319,10 @@ fp_checkpoint = {tmp_path}/missing.ckpt
 """)
     assert entry(["train-bwrf", "--config", str(cfg)]) == 4
     assert "checkpoint error" in capsys.readouterr().err
+    overflowing = crafted(tmp_path / "overflowing.ckpt", OVERFLOWING)
+    assert entry(["eval", "--config", str(cfg), "--set", f"checkpoint={overflowing}",
+                  "--set", "branch=F"]) == 4
+    assert "truncated reading w data" in capsys.readouterr().err
 
 
 

@@ -1,7 +1,8 @@
 """The helper thread of bwrf.tensor: the teacher's forward and the conv
 weight gradients it runs change no byte, every pending gradient is resolved
-by the end of backward, which frees what each rule kept as it goes, errors
-surface with their own type, and a fork on the helper runs inline.
+by the end of backward, which frees what each rule kept as it goes and owns
+every gradient it hands on, errors surface with their own type, and a fork
+on the helper runs inline.
 
 Forcing the inline path monkeypatches ``tensor._helper`` to report no helper,
 which is what a one-CPU process gets.
@@ -20,12 +21,13 @@ import pytest
 
 from bwrf import tensor as T
 from bwrf.cli import entry
-from bwrf.config import RunConfig
-from bwrf.graft import bwrf_forward, total_loss
+from bwrf.config import RunConfig, loss_switches_off
+from bwrf.graft import bwrf_forward, total_loss, train_step
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
 from bwrf.quantizer import Quantizer, quantize_forward
 from bwrf.synthetic import write_synthetic_idx
 from bwrf.tensor import Tensor
+from bwrf.training import SGD
 from rules import rule_arrays
 
 SPEC = BlockSpec(units_per_block=1, in_channels=3, num_classes=10)
@@ -297,6 +299,69 @@ def test_a_walk_frees_what_each_rule_kept_while_the_root_is_held(monkeypatch, in
     (thread, names), = alive
     assert thread.startswith(T.HELPER) == (T._helper() is not None)
     assert "batchnorm input" not in names and "relu bits" not in names
+
+
+# -- the walk owns every gradient -------------------------------------------------------
+
+
+def owned_arrivals(monkeypatch, seed):
+    """Hook ``_accumulate``: each arrival not pending is a float32 ndarray
+    sharing no memory with ``seed`` or with the gradient any node holds,
+    its own included. Returns the list of arrivals, pending ones as joins."""
+    arrivals, holders, accumulate = [], {}, T._accumulate
+
+    def checked(node, g):
+        if g is None:  # no arrival
+            return accumulate(node, g)
+        if not callable(g):
+            assert type(g) is np.ndarray and g.dtype == np.float32, f"{node!r} got {type(g)}"
+            assert seed is None or not np.shares_memory(g, seed), f"{node!r} got the seed"
+            for other in holders.values():
+                held = other.grad
+                assert not (type(held) is np.ndarray and np.shares_memory(g, held)), \
+                    f"{node!r} got an array {other!r} holds"
+        arrivals.append(g)
+        accumulate(node, g)
+        holders[id(node)] = node
+
+    monkeypatch.setattr(T, "_accumulate", checked)
+    return arrivals
+
+
+def assert_leaf_grads(model):
+    for name, p, _ in model.param_groups():
+        assert type(p.grad) is np.ndarray and p.grad.dtype == np.float32, name
+        assert p.grad.shape == p.data.shape, name
+
+
+def test_a_grafted_walk_owns_every_arrival(monkeypatch):
+    """The loss is an add, whose rule hands its gradient, the copy of the
+    caller's seed, to one parent and a copy to the other."""
+    fp = build_model(SPEC, "fp", seed=5).freeze()
+    lp = build_model(SPEC, "lp", bits=4, seed=6)
+    init_lp_from_fp(lp, fp)
+    rng = np.random.default_rng(8)
+    x = Tensor(rng.standard_normal((5, 3, 8, 8)).astype(np.float32))
+    cfg = RunConfig()
+    bwrf_forward(lp, fp, x, cfg)  # settle lazy activation-scale calibration
+    loss = total_loss(bwrf_forward(lp, fp, x, cfg), rng.integers(0, 10, size=5), cfg)[0]
+    seed = np.ones(loss.shape, np.float32)
+    arrivals = owned_arrivals(monkeypatch, seed)
+    loss.backward(seed)
+    assert (seed == 1).all() and len(arrivals) > 100
+    assert all(type(g() if callable(g) else g) is np.ndarray for g in arrivals)
+    assert_leaf_grads(lp)
+
+
+def test_a_train_fp_walk_owns_every_arrival(monkeypatch):
+    model = build_model(SPEC, "fp", seed=5)
+    rng = np.random.default_rng(9)
+    batch = (rng.standard_normal((5, 3, 8, 8)).astype(np.float32), rng.integers(0, 10, size=5))
+    arrivals = owned_arrivals(monkeypatch, None)
+    train_step(model, None, batch, loss_switches_off(RunConfig()),
+               SGD(model.param_groups(), lr=0.1))
+    assert len(arrivals) > 30
+    assert_leaf_grads(model)
 
 
 # -- failure and nesting ---------------------------------------------------------------
