@@ -118,8 +118,9 @@ def crafted(path, body: bytes):
     return str(path)
 
 
-def header(version=1, arch=b"resnet8", count=1) -> bytes:
-    return struct.pack("<II", version, len(arch)) + arch + struct.pack("<iI", 0, count)
+def header(version=1) -> bytes:
+    """Version, arch resnet8, bits 0 and one tensor."""
+    return struct.pack("<II", version, 7) + b"resnet8" + struct.pack("<iI", 0, 1)
 
 
 def tensor_record(name: bytes, shape, payload=b"") -> bytes:

@@ -114,10 +114,8 @@ def test_the_helper_changes_no_byte_of_a_run(tmp_path, monkeypatch):
         assert with_helper[name] == inline[name], f"{name} differs with the helper"
 
 
-def lp_step(monkeypatch, inline):
-    """Gradients and loss node of one grafted step on a fresh seeded pair."""
-    if inline:
-        force_inline(monkeypatch)
+def grafted_loss():
+    """A fresh seeded LP model and the loss of one grafted step, not walked."""
     fp = build_model(SPEC, "fp", seed=5).freeze()
     lp = build_model(SPEC, "lp", bits=4, seed=6)
     init_lp_from_fp(lp, fp)
@@ -126,7 +124,14 @@ def lp_step(monkeypatch, inline):
     labels = rng.integers(0, 10, size=5)
     cfg = RunConfig()
     bwrf_forward(lp, fp, x, cfg)  # settle lazy activation-scale calibration
-    loss = total_loss(bwrf_forward(lp, fp, x, cfg), labels, cfg)[0]
+    return lp, total_loss(bwrf_forward(lp, fp, x, cfg), labels, cfg)[0]
+
+
+def lp_step(monkeypatch, inline):
+    """Gradients and loss node of one grafted step on a fresh seeded pair."""
+    if inline:
+        force_inline(monkeypatch)
+    lp, loss = grafted_loss()
     loss.backward()
     monkeypatch.undo()
     return {name: p.grad for name, p, _ in lp.param_groups()}, loss
@@ -337,14 +342,7 @@ def assert_leaf_grads(model):
 def test_a_grafted_walk_owns_every_arrival(monkeypatch):
     """The loss is an add, whose rule hands its gradient, the copy of the
     caller's seed, to one parent and a copy to the other."""
-    fp = build_model(SPEC, "fp", seed=5).freeze()
-    lp = build_model(SPEC, "lp", bits=4, seed=6)
-    init_lp_from_fp(lp, fp)
-    rng = np.random.default_rng(8)
-    x = Tensor(rng.standard_normal((5, 3, 8, 8)).astype(np.float32))
-    cfg = RunConfig()
-    bwrf_forward(lp, fp, x, cfg)  # settle lazy activation-scale calibration
-    loss = total_loss(bwrf_forward(lp, fp, x, cfg), rng.integers(0, 10, size=5), cfg)[0]
+    lp, loss = grafted_loss()
     seed = np.ones(loss.shape, np.float32)
     arrivals = owned_arrivals(monkeypatch, seed)
     loss.backward(seed)
