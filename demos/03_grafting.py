@@ -54,11 +54,11 @@ def main():
     print(f"  quantized suffix params touched by this branch: {len(suffix)}")
 
     print("\n== block-call accounting for one full training forward ==")
-    lp.reset_block_counters()
-    fp.reset_block_counters()
+    lp_before = [b.calls for b in lp.blocks]
+    fp_before = [b.calls for b in fp.blocks]
     bwrf_forward(lp, fp, x, RunConfig())
-    lp_calls = [b.calls for b in lp.blocks]
-    fp_calls = [b.calls for b in fp.blocks]
+    lp_calls = [b.calls - c for b, c in zip(lp.blocks, lp_before)]
+    fp_calls = [b.calls - c for b, c in zip(fp.blocks, fp_before)]
     print(f"  quantized blocks ran {lp_calls} times (one shared prefix pass)")
     print(f"  frozen blocks ran {fp_calls} times "
           f"(own forward + one suffix per graft)")

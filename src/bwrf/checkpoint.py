@@ -14,13 +14,14 @@ Layout, all integers little-endian:
 
 Tensors are written in the model's state-dict order, so save -> load ->
 save reproduces the file byte for byte. The trailing checksum makes any
-single-byte corruption detectable. A save writes ``<path>.tmp``, syncs it
-and renames it over ``<path>``, so a failed save never destroys the
+single-byte corruption detectable. A save goes through ``atomic_write``,
+as the command-line outputs do, so a failed save never destroys the
 previous file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -34,6 +35,27 @@ VERSION = 1
 
 class CheckpointError(Exception):
     """Missing, corrupt, or incompatible checkpoint file."""
+
+
+@contextlib.contextmanager
+def atomic_write(path: str, mode: str = "wb", **open_args):
+    """Open ``<path>.tmp`` for writing, making path's directory if needed.
+    When the block ends the file is synced and renamed over path; if the
+    block raises it is removed, and path keeps its previous bytes."""
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, mode, **open_args) as fh:
+            yield fh
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path: str, arch: str, bits: int, tensors: dict):
@@ -54,22 +76,10 @@ def save_checkpoint(path: str, arch: str, bits: int, tensors: dict):
         body += struct.pack("<I", arr.ndim)
         body += struct.pack(f"<{arr.ndim}I", *arr.shape)
         body += arr.astype("<f4").tobytes()
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(body)
-            fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with atomic_write(path) as fh:
+        fh.write(MAGIC)
+        fh.write(body)
+        fh.write(struct.pack("<I", zlib.crc32(bytes(body))))
 
 
 class _Reader:

@@ -28,7 +28,7 @@ import os
 import sys
 
 from bwrf import training
-from bwrf.checkpoint import CheckpointError, load_into_model, save_model
+from bwrf.checkpoint import CheckpointError, atomic_write, load_into_model, save_model
 from bwrf.config import (ConfigError, RunConfig, block_spec, load_config, loss_switches_off,
                          resolved_text)
 from bwrf.data import DataError, load_cifar10, load_idx_dir, subset
@@ -79,7 +79,7 @@ def write_csv(path: str, rows: list, columns: tuple):
             return ""
         return repr(v) if isinstance(v, float) else str(v)
 
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(columns)
         for row in rows:
@@ -87,8 +87,7 @@ def write_csv(path: str, rows: list, columns: tuple):
 
 
 def prepare_output_dir(cfg: RunConfig) -> str:
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "resolved.cfg"), "w", encoding="utf-8") as fh:
+    with atomic_write(os.path.join(cfg.output_dir, "resolved.cfg"), "w", encoding="utf-8") as fh:
         fh.write(resolved_text(cfg))
     return cfg.output_dir
 
@@ -163,8 +162,7 @@ def cmd_eval(args) -> int:
         load_into_model(cfg.checkpoint, model, cfg.arch)
     if branch.startswith("M"):
         fp = load_frozen_fp(cfg, spec, cfg.fp_checkpoint)
-        scores = training.evaluate_branches(model, fp, test, cfg.eval_batch_size,
-                                            ((None, None), []))
+        scores = training.evaluate_branches(model, fp, test, cfg.eval_batch_size)
         top1, top5 = scores[f"acc_{branch}"], scores[f"top5_{branch}"]
     else:
         (top1, top5), _ = model_pass(model, test, cfg.eval_batch_size)

@@ -162,7 +162,7 @@ def loss_distill(g: GraftOutput, cfg) -> Tensor:
             summed = branch[0] if len(branch) == 1 else T.add(branch[0], branch[1])
             terms.append(summed * cfg.alpha[k - 1])
     if not terms:
-        return Tensor(np.float32(0.0))
+        return Tensor(np.zeros(1, np.float32))
     total = terms[0]
     for t in terms[1:]:
         total = T.add(total, t)

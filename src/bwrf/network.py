@@ -312,10 +312,6 @@ class BlockModel:
 
     # -- block call audit --------------------------------------------------------
 
-    def reset_block_counters(self):
-        for block in self.blocks:
-            block.calls = 0
-
     def block_call_count(self) -> int:
         return sum(block.calls for block in self.blocks)
 

@@ -59,7 +59,7 @@ class Quantizer:
             self.qmax = (1 << bits) - 1
         self.grad_scale_enabled = bool(grad_scale_enabled)
         self.enabled = True
-        self.scale = Tensor(np.float32(1.0), requires_grad=True)
+        self.scale = Tensor(np.ones(1, np.float32), requires_grad=True)
         self.initialized = False
 
     def __repr__(self):

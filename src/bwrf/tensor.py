@@ -3,8 +3,9 @@
 The operator set covers small residual CNNs: bias-free convolution (each
 conv feeds a batchnorm), linear with a bias (the classifier head), batch
 norm, ReLU, residual add, global average pooling, log-softmax, and the
-reductions needed for classification and distillation losses. ``Tensor``
-arithmetic is scalar-only, the two forms the losses use: ``t * scalar`` and
+reductions needed for classification and distillation losses. A scalar,
+a loss included, is a shape-(1,) Tensor. ``Tensor`` arithmetic is
+scalar-only, the two forms the losses use: ``t * scalar`` and
 ``scalar - t``; tensors combine through ``add`` and ``mul``. Gradients
 accumulate by summation when a node feeds several consumers, so a shared
 feature map receives the sum of the contributions from every branch that
@@ -66,13 +67,10 @@ takes a gradient and whose weight is a node with a backward rule (a weight
 quantizer); ``fork`` runs inline with one CPU or on the helper itself. Such
 a conv gives its weight node a pending gradient, the job's join, which
 stays pending until the walk visits that node or a second gradient
-arrives. ``backward`` visits the nodes whose parents are all leaves last
-and resolves on the visit, so the helper's GEMMs run beside the rest of
-the walk. In the networks those nodes are the weight quantizers (and the
-stem's input quantizer): each gets one arrival and alone feeds its leaves,
-so the move reorders no sum, and the helper runs the same code on the same
-arrays. The helper must never enter ``no_grad``, whose flag is a module
-global. Both threads allocate from one malloc arena (``_helper``).
+arrives, so the helper's GEMMs run beside the rules in between, and the
+helper runs the same code on the same arrays. The helper must never enter
+``no_grad``, whose flag is a module global. Both threads allocate from one
+malloc arena (``_helper``).
 """
 
 from __future__ import annotations
@@ -196,7 +194,7 @@ class Tensor:
         return _scalar_affine(self, -1.0, float(other))
 
     def sum(self) -> "Tensor":
-        out_data = np.asarray(self.data.sum(dtype=np.float32)).reshape(())
+        out_data = self.data.sum(dtype=np.float32)
         shape = self.shape
 
         def grad_fn(g):
@@ -206,7 +204,7 @@ class Tensor:
 
     def mean(self) -> "Tensor":
         inv = np.float32(1.0 / self.data.size)
-        out_data = np.asarray(self.data.sum(dtype=np.float32) * inv).reshape(())
+        out_data = self.data.sum(dtype=np.float32) * inv
         shape = self.shape
 
         def grad_fn(g):
@@ -222,11 +220,11 @@ class Tensor:
         The walk, the one runner of backward rules, starts from a copy of
         ``grad``, this output's upstream gradient, or from ones at a scalar
         loss; at a leaf, that seed is one more arrival. Each operation record
-        in the graph is visited exactly once, in reverse topological order;
+        in the graph is visited exactly once, in ``_reverse_topo``'s order;
         multi-consumer nodes therefore receive their full summed gradient
-        before their own rule runs. The nodes whose parents are all leaves
-        come last, in their own order, and a pending gradient is resolved on
-        the visit. Only leaves keep a gradient.
+        before their own rule runs, and a pending gradient is resolved on
+        the visit. Only leaves keep a gradient. A scalar loss is shape (1,),
+        so ``grad`` for one is ``np.ones(loss.shape, np.float32)``.
 
         Each rule is dropped once it has run, with the arrays it kept and
         its node's compact form, so they are freed while later rules
@@ -239,15 +237,12 @@ class Tensor:
             raise ValueError(f"backward: grad shape {grad.shape} differs from output shape {self.shape}")
         if grad is not None and grad.dtype != np.float32:
             raise ValueError(f"backward: grad dtype {grad.dtype} is not float32")
-        order = _reverse_topo(self)
-        late = {id(n) for n in order if n._parents and all(p._grad_fn is None for p in n._parents)}
-        order = [n for n in order if id(n) not in late] + [n for n in order if id(n) in late]
         seed = np.ones_like(self.data) if grad is None else grad.copy()
         if self.node._grad_fn is None:
             _accumulate(self.node, seed)
         else:
             self.node.grad = seed
-        for node in order:
+        for node in _reverse_topo(self):
             if node._grad_fn is not None and node.grad is not None:
                 g, node.grad = node.grad, None
                 grads = node._grad_fn(_first_arrival(g) if callable(g) else g)
@@ -672,7 +667,7 @@ def nll_loss(log_probs: Tensor, labels: np.ndarray) -> Tensor:
     if labels.size and (labels.min() < 0 or labels.max() >= c):
         raise ValueError(f"nll_loss: label out of class range [0, {c})")
     picked = log_probs.data[np.arange(n), labels]
-    out_data = np.asarray(-picked.sum(dtype=np.float32) / np.float32(n)).reshape(())
+    out_data = -picked.sum(dtype=np.float32) / np.float32(n)
 
     def grad_fn(g):
         gx = np.zeros((n, c), np.float32)

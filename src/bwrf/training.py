@@ -95,18 +95,16 @@ def model_pass(model, split: Split, batch_size: int, n_rows: int = 0) -> tuple:
     return (100.0 * hit1 / n, 100.0 * hit5 / n), leading
 
 
-def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> dict:
-    """acc_* and top5_* of Q, every M{k} and F from one tape-free shared-prefix pass.
+def evaluate_branches(lp, fp, split: Split, batch_size: int, leading=()) -> dict:
+    """acc_* and top5_* of Q and every M{k} from one tape-free shared-prefix pass.
 
     Per batch the LP forward and each graft's first frozen block
     h_k = F_{k+1}(x^Q_k) run once; the rest of the FP suffix on h_k gives M_k.
-    ``teacher`` is ``model_pass(fp, ...)`` over the same split and batch size,
-    or ((None, None), []) when F's scores and the cosines are not wanted; the
-    rows its features cover add the per-sample means
-    cos_b{i} = cos(x^Q_i, x^F_i) and cos_g{k} = cos(h_k, x^F_{k+1}), read off
-    row slices of the eval batches.
+    ``leading`` is the teacher's leading block features from
+    ``model_pass(fp, ...)`` over the same split and batch size; the rows they
+    cover add the per-sample means cos_b{i} = cos(x^Q_i, x^F_i) and
+    cos_g{k} = cos(h_k, x^F_{k+1}), read off row slices of the eval batches.
     """
-    (acc_f, top5_f), leading = teacher
     lp.eval()
     hits, cos = {}, {}
     with T.no_grad():
@@ -125,7 +123,7 @@ def evaluate_branches(lp, fp, split: Split, batch_size: int, teacher: tuple) -> 
                     cos[key] = cos.get(key, 0.0) + _cos_rows(f.data[:len(ref)], ref) * len(ref)
     n_rows = sum(len(batch[0]) for batch in leading)
     return {**{key: 100.0 * h / len(split) for key, h in hits.items()},
-            "acc_F": acc_f, "top5_F": top5_f, **{key: v / n_rows for key, v in cos.items()}}
+            **{key: v / n_rows for key, v in cos.items()}}
 
 
 def cosine_similarities(lp, fp, split: Split, n_samples: int = 1024,
@@ -138,7 +136,7 @@ def cosine_similarities(lp, fp, split: Split, n_samples: int = 1024,
     """
     rows = math.ceil(min(n_samples, len(split)) / batch_size) * batch_size
     sub = Split(split.images[:rows], split.labels[:rows])
-    out = evaluate_branches(lp, fp, sub, batch_size, model_pass(fp, sub, batch_size, n_samples))
+    out = evaluate_branches(lp, fp, sub, batch_size, model_pass(fp, sub, batch_size, n_samples)[1])
     return {key: v for key, v in out.items() if key.startswith("cos_")}
 
 
@@ -177,22 +175,24 @@ def train_bwrf(lp, fp, train_split: Split, test_split: Split, cfg, on_epoch=None
     Emits one row per epoch with train losses, per-branch test top-1 (acc_*)
     and top-5 (top5_*), and optional cosine metrics. The frozen FP model is
     audited by checksum every epoch, and any drift raises; that audit lets
-    its ``model_pass`` run once, before the first epoch. Each epoch then
-    walks the test split once with ``evaluate_branches``.
+    its ``model_pass`` run once, before the first epoch, for F's scores
+    and features. Each epoch then walks the test split once with
+    ``evaluate_branches``.
     """
     if not fp.frozen:
         raise ValueError("the full-precision counterpart must be frozen")
     fp_checksum = fp.checksum()
-    scores_f, leading = model_pass(fp, test_split, cfg.eval_batch_size,
-                                   cfg.cos_samples if cfg.cos_every else 0)
+    (acc_f, top5_f), leading = model_pass(fp, test_split, cfg.eval_batch_size,
+                                          cfg.cos_samples if cfg.cos_every else 0)
 
     def epoch_row(epoch, sums):
         if fp.checksum() != fp_checksum:
             raise RuntimeError(f"frozen model drifted during epoch {epoch}")
         audit = cfg.cos_every and (epoch in (1, cfg.epochs) or epoch % cfg.cos_every == 0)
-        return {**{k: float(np.mean(v)) for k, v in sums.items()},
-                **evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
-                                    (scores_f, leading if audit else []))}
+        scores = evaluate_branches(lp, fp, test_split, cfg.eval_batch_size,
+                                   leading if audit else ())
+        return {**{k: float(np.mean(v)) for k, v in sums.items()}, **scores,
+                "acc_F": acc_f, "top5_F": top5_f}
 
     return _train(lp, fp, train_split, cfg, epoch_row, on_epoch)
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from bwrf.checkpoint import load_checkpoint
-from bwrf.cli import entry, load_splits
+from bwrf.cli import entry, load_splits, write_csv
 from bwrf.config import load_config
 from bwrf.data import load_idx_dir, subset
 from bwrf.synthetic import synthetic_arrays, write_synthetic_cifar, write_synthetic_idx
@@ -221,6 +221,21 @@ def test_resolved_config_archives_applied_overrides(fp_run, tmp_path):
     text = (out / "resolved.cfg").read_text()
     assert "use_fp_kd = false" in text, "baseline must archive the forced toggles"
     assert "bits = 4" in text
+
+
+def test_a_failing_rewrite_of_the_training_log_leaves_the_earlier_file(tmp_path):
+    class Unprintable:
+        def __str__(self):
+            raise RuntimeError("cell")
+
+    path = str(tmp_path / "train_log.csv")
+    write_csv(path, [{"epoch": 1, "lr": 0.1}, {"epoch": 2, "lr": 0.1}], ("epoch", "lr"))
+    before = (tmp_path / "train_log.csv").read_bytes()
+    assert before == b"epoch,lr\r\n1,0.1\r\n2,0.1\r\n"
+    with pytest.raises(RuntimeError, match="cell"):
+        write_csv(path, [{"epoch": Unprintable(), "lr": 0.1}], ("epoch", "lr"))
+    assert (tmp_path / "train_log.csv").read_bytes() == before
+    assert os.listdir(tmp_path) == ["train_log.csv"]
 
 
 def test_exit_code_2_on_config_errors(tmp_path, idx_dir, capsys):

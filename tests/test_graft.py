@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from bwrf import tensor as T
-from bwrf.config import RunConfig
+from bwrf.config import RunConfig, loss_switches_off
 from bwrf.graft import (GraftOutput, avg_soft_label, bwrf_forward, graft_forward, kd_loss,
                         loss_distill, loss_target, total_loss, train_step)
 from bwrf.network import BlockSpec, build_model, init_lp_from_fp
@@ -111,22 +111,21 @@ def test_forward_bundle_shape_and_detachment():
 
 def test_branch_count_law_full_framework():
     lp, fp = make_pair()
-    lp.reset_block_counters()
-    fp.reset_block_counters()
+    lp_before, fp_before = lp.block_call_count(), fp.block_call_count()
     bwrf_forward(lp, fp, Tensor(batch()[0]), RunConfig())
     n = lp.n_blocks
-    assert lp.block_call_count() == n, "LP prefix must run exactly once"
+    assert lp.block_call_count() - lp_before == n, "LP prefix must run exactly once"
     extra = sum(n - k for k in range(1, n))
-    assert fp.block_call_count() == n + extra
+    assert fp.block_call_count() - fp_before == n + extra
 
 
 def test_all_toggles_off_runs_zero_fp_blocks():
     lp, fp = make_pair()
-    fp.reset_block_counters()
+    before = fp.block_call_count()
     cfg = RunConfig(use_mp_targets=False, use_fp_kd=False, use_mp_kd=False,
                     use_avg_labels=False)
     g = bwrf_forward(lp, fp, Tensor(batch()[0]), cfg)
-    assert fp.block_call_count() == 0
+    assert fp.block_call_count() == before
     assert g.y_f is None and all(y is None for y in g.y_m)
 
 
@@ -135,10 +134,10 @@ def test_mp_branch_pruning_runs_only_selected_grafts():
     lp, fp = make_pair()
     n = lp.n_blocks
     for branches, realized in (((2,), (2,)), ((1, 2), (1, 2)), ((2, 1, 1), (1, 2))):
-        fp.reset_block_counters()
+        before = fp.block_call_count()
         g = bwrf_forward(lp, fp, Tensor(batch()[0]), RunConfig(mp_branches=branches))
         assert [y is not None for y in g.y_m] == [k in realized for k in range(1, n)]
-        assert fp.block_call_count() == n + sum(n - k for k in realized), branches
+        assert fp.block_call_count() - before == n + sum(n - k for k in realized), branches
 
 
 # -- loss_target --------------------------------------------------------------------
@@ -338,6 +337,22 @@ def test_total_loss_generic_composition():
                    + 0.5 * oracles.cross_entropy_f64(g.y_m[0].data, labels)
                    + 2.0 * oracles.cross_entropy_f64(g.y_m[1].data, labels))
     assert target.item() == pytest.approx(want_target, rel=1e-4)
+
+
+@pytest.mark.parametrize("switches", ["all on", "all off"])
+def test_every_loss_and_reduction_is_shape_one(switches):
+    """A scalar is a (1,) array by contract, the zero distillation loss of an
+    all-off config included, and a loss walks from np.ones(loss.shape)."""
+    lp, fp = make_pair(seed=16)
+    images, labels = batch(seed=17)
+    cfg = RunConfig() if switches == "all on" else loss_switches_off(RunConfig())
+    g = bwrf_forward(lp, fp, Tensor(images), cfg)
+    losses = total_loss(g, labels, cfg)
+    t = Tensor(images, requires_grad=True)
+    reductions = (t.sum(), t.mean(), T.nll_loss(T.log_softmax(g.y_q), labels))
+    assert [x.shape for x in (*losses, *reductions)] == [(1,)] * 6
+    losses[0].backward(np.ones(losses[0].shape, np.float32))
+    assert all(p.grad is not None for _, p, _ in lp.param_groups())
 
 
 # -- train_step -----------------------------------------------------------------------------------

@@ -287,8 +287,8 @@ def test_checksum_changes_when_any_value_changes():
 
 def test_block_call_counters():
     fp = build_model(SPEC, "fp", seed=1).eval()
-    fp.reset_block_counters()
+    before = fp.block_call_count()
     fp.forward_collect(small_batch())
-    assert fp.block_call_count() == fp.n_blocks
+    assert fp.block_call_count() - before == fp.n_blocks
     fp.forward_from_block(Tensor(np.zeros((2, 32, 4, 4), np.float32)), 2)
-    assert fp.block_call_count() == fp.n_blocks + 1
+    assert fp.block_call_count() - before == fp.n_blocks + 1

@@ -86,7 +86,7 @@ def test_forward_bit_exact_vs_scalar_loop():
 
 def test_forward_rejects_nonpositive_scale():
     q = make_q()
-    q.scale.data = np.asarray(0.0, np.float32).reshape(())
+    q.scale.data = np.zeros(1, np.float32)
     with pytest.raises(ValueError, match="positive"):
         quantize_forward(Tensor(np.ones(2, np.float32)), q)
 

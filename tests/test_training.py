@@ -179,18 +179,15 @@ def test_evaluate_empty_split_raises():
 def test_evaluate_branches_matches_separate_evaluations():
     lp, fp = make_pair(seed=5)
     split = random_split(32, seed=6)
-    teacher = model_pass(fp, split, 16)
-    scores = evaluate_branches(lp, fp, split, 16, teacher)
-    assert list(scores) == ["acc_Q", "top5_Q", "acc_M1", "top5_M1", "acc_M2", "top5_M2",
-                            "acc_F", "top5_F"]
+    scores = evaluate_branches(lp, fp, split, 16)
+    assert list(scores) == ["acc_Q", "top5_Q", "acc_M1", "top5_M1", "acc_M2", "top5_M2"]
     assert (scores["acc_Q"], scores["top5_Q"]) == model_pass(lp, split, 16)[0]
-    assert (scores["acc_F"], scores["top5_F"]) == teacher[0]
     for k in (1, 2):
         graft = Forward(lambda x: graft_forward(lp.forward_collect(x)[0], fp, k))
         assert (scores[f"acc_M{k}"], scores[f"top5_M{k}"]) == model_pass(graft, split, 16)[0]
     assert all(type(v) is float for v in scores.values())
-    without_f = evaluate_branches(lp, fp, split, 16, ((None, None), []))
-    assert without_f == {**scores, "acc_F": None, "top5_F": None}
+    # no leading rows: the teacher's features change nothing
+    assert evaluate_branches(lp, fp, split, 16, model_pass(fp, split, 16)[1]) == scores
 
 
 @pytest.mark.parametrize("cos_rows", [8, 20, 40, 1024])
@@ -202,9 +199,11 @@ def test_evaluate_branches_matches_two_walk_oracle(cos_rows):
     split = random_split(40, seed=18)
     lp.eval()
     lp(Tensor(random_split(16, seed=19).images))  # calibrate the activation scales
-    got = evaluate_branches(lp, fp, split, 16, model_pass(fp, split, 16, cos_rows))
+    (acc_f, top5_f), leading = model_pass(fp, split, 16, cos_rows)
+    got = evaluate_branches(lp, fp, split, 16, leading)
     want = oracles.branch_metrics_two_walks(lp, fp, split, 16, cos_rows)
-    assert list(got) == list(want)
+    assert list(got) == [key for key in want if key not in ("acc_F", "top5_F")]
+    got = {**got, "acc_F": acc_f, "top5_F": top5_f}
     for key in want:
         assert got[key] == want[key], key
     cos = cosine_similarities(lp, fp, split, n_samples=cos_rows, batch_size=16)
@@ -311,8 +310,8 @@ def test_train_bwrf_requires_frozen_counterpart():
 def test_train_bwrf_rows_and_fp_integrity():
     lp, fp = make_pair(seed=61)
     before = fp.checksum()
-    rows = train_bwrf(lp, fp, random_split(32, seed=62), random_split(16, seed=63),
-                      tiny_cfg())
+    test, cfg = random_split(16, seed=63), tiny_cfg()
+    rows = train_bwrf(lp, fp, random_split(32, seed=62), test, cfg)
     assert fp.checksum() == before
     base_keys = {"epoch", "lr", "loss_total", "loss_target", "loss_distill",
                  "train_acc_Q", "acc_Q", "acc_M1", "acc_M2", "acc_F",
@@ -322,6 +321,7 @@ def test_train_bwrf_rows_and_fp_integrity():
         assert row["loss_total"] == pytest.approx(row["loss_target"] + row["loss_distill"],
                                                   rel=1e-5)
     assert rows[0]["acc_F"] == rows[1]["acc_F"], "frozen branch accuracy must not move"
+    assert (rows[0]["acc_F"], rows[0]["top5_F"]) == model_pass(fp, test, cfg.eval_batch_size)[0]
 
 
 def test_train_bwrf_emits_cosine_columns_on_cadence():
